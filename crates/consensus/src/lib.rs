@@ -5,10 +5,9 @@
 //! The paper's architecture (Section IV) coordinates its service replicas
 //! with a *reconfigurable* MinBFT protocol under the hybrid failure model
 //! (at most `f = (N - 1 - k)/2` compromised or crashed nodes, relying on a
-//! tamperproof USIG service per node), and runs the global system controller
-//! on a crash-tolerant Raft cluster. The paper's testbed runs these protocols
-//! on 13 physical servers; this reproduction substitutes a deterministic
-//! discrete-event network simulation (see DESIGN.md) that exercises the same
+//! tamperproof USIG service per node). The paper's testbed runs this
+//! protocol on 13 physical servers; this reproduction substitutes a
+//! deterministic discrete-event network simulation that exercises the same
 //! protocol logic: quorum certificates, non-equivocation through USIG
 //! counters, view changes, checkpoints, state transfer and the JOIN/EVICT
 //! reconfiguration used by the system controller.
@@ -28,9 +27,9 @@
 //!   Byzantine fault injection and the BFT client (f+1 matching replies).
 //! * [`threaded`] — the same MinBFT replica code running as a real
 //!   concurrent service: one thread per replica over [`ThreadedTransport`].
-//! * [`wire`] — the length-prefixed binary wire codec: every
-//!   [`minbft::Message`] lowered through the vendored serde shim's `Value`
-//!   model and framed for the socket transport.
+//! * [`wire`] — the length-prefixed binary wire codec: one fixed-layout
+//!   typed encoding of every [`minbft::Message`] (fields in declaration
+//!   order, no field names or type tags), framed for the socket transport.
 //! * [`socket`] — the third [`Transport`] impl: real loopback/LAN TCP
 //!   sockets with per-connection I/O threads, bounded outbound queues and
 //!   reconnect-on-drop, so a cluster runs as N separate OS processes (see
@@ -44,8 +43,6 @@
 //! * [`metrics`] — windowed data-plane metrics (request-rate counters,
 //!   log-scale latency histograms) and the client retry budget; the
 //!   observation side of the `core::controlplane::autotune` feedback loop.
-//! * [`raft`] — a Raft cluster (leader election and log replication) used as
-//!   the crash-tolerant substrate of the system controller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -54,7 +51,6 @@ pub mod crypto;
 pub mod metrics;
 pub mod minbft;
 pub mod net;
-pub mod raft;
 pub mod sharded;
 pub mod socket;
 pub mod threaded;
@@ -71,7 +67,6 @@ pub use minbft::{
     MinBftConfigError, ThroughputReport, CLIENT_ID_BASE,
 };
 pub use net::{NetworkConfig, NetworkConfigError, SimNetwork};
-pub use raft::{RaftCluster, RaftConfig};
 pub use sharded::{
     run_sharded_service, shard_seed, KeyPartitioner, ShardRouter, ShardedServiceConfig,
     ShardedServiceReport, ShardedSimConfig, ShardedSimService,

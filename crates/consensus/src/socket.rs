@@ -744,7 +744,7 @@ mod tests {
         frame.extend_from_slice(&12u32.to_le_bytes());
         frame.extend_from_slice(&0u32.to_le_bytes()); // from
         frame.extend_from_slice(&1u32.to_le_bytes()); // to
-        frame.extend_from_slice(&[0xff; 4]); // not a value
+        frame.extend_from_slice(&[0xff; 4]); // no message variant
         stream.write_all(&frame).expect("write frame");
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))

@@ -1,8 +1,8 @@
 //! Pluggable message transports for the consensus layer.
 //!
-//! The protocol code (MinBFT replicas, Raft members) is written against the
-//! [`Transport`] trait: a sender-side interface for point-to-point and
-//! broadcast delivery of protocol messages. Two implementations exist:
+//! The MinBFT replica code is written against the [`Transport`] trait: a
+//! sender-side interface for point-to-point and broadcast delivery of
+//! protocol messages. Two implementations exist:
 //!
 //! * [`crate::net::SimNetwork`] — the deterministic discrete-event network.
 //!   Same seed → byte-identical delivery schedule, which is what the simnet

@@ -1,14 +1,11 @@
 //! Length-prefixed binary wire codec for [`Message`] frames.
 //!
-//! The socket transport ([`crate::socket`]) serializes every protocol
-//! message through the vendored serde shim: the derived
-//! [`serde::Serialize`] impl lowers a [`Message`] into the shim's
-//! [`Value`] data model, and this module encodes that tree as compact
-//! little-endian binary. Decoding reverses both steps — a hand-written
-//! `Value` parser (the shim deliberately ships no deserializer) followed by
-//! a typed `Value → Message` mapper for every variant. Round-tripping is
-//! byte-exact: `encode(decode(bytes)) == bytes` for every valid frame (see
-//! the property tests in `tests/properties.rs`).
+//! The socket transport ([`crate::socket`]) sends every protocol message
+//! through this module. The codec is one private trait, `Wire`, implemented
+//! once for each type that goes on the wire. Fields are written in
+//! declaration order, so no field names or type tags travel. Every value has
+//! exactly one encoding: `encode(decode(bytes)) == bytes` for every input
+//! that decodes at all (see the property tests in `tests/properties.rs`).
 //!
 //! # Wire format
 //!
@@ -21,36 +18,37 @@
 //! ```
 //!
 //! `len` counts everything after itself (`from`, `to` and the payload), all
-//! integers are little-endian, and the payload is one encoded `Value` tree:
+//! integers are little-endian, and the payload is one encoded [`Message`]:
 //!
-//! | tag | value    | encoding                                            |
-//! |-----|----------|-----------------------------------------------------|
-//! | 0   | `Null`   | —                                                   |
-//! | 1   | `Bool`   | 1 byte (0/1)                                        |
-//! | 2   | `U64`    | 8 bytes LE                                          |
-//! | 3   | `I64`    | 8 bytes LE (two's complement)                       |
-//! | 4   | `F64`    | 8 bytes LE (IEEE-754 bits)                          |
-//! | 5   | `Str`    | u32 length + UTF-8 bytes                            |
-//! | 6   | `Array`  | u32 count + encoded elements                        |
-//! | 7   | `Object` | u32 count + (u32 key length + key + value) entries  |
+//! | type                                           | encoding                                            |
+//! |------------------------------------------------|-----------------------------------------------------|
+//! | `u32` (also [`NodeId`]), `u64`                 | 4 or 8 bytes                                        |
+//! | [`Digest`]                                     | its `u64`                                           |
+//! | `Signature`, [`UniqueIdentifier`], [`Request`] | the fields in declaration order                     |
+//! | tuple                                          | the elements in order                               |
+//! | `Vec<T>`                                       | `u32` count, then the elements                      |
+//! | enum ([`Message`], [`Operation`], …)           | 1-byte variant index, then the variant's fields     |
+//!
+//! Variant indices count from 0 in declaration order; the `wire_enum!`
+//! invocations below list them and are the format's definition. A `Put`
+//! request frame is thus 38 bytes: the 12-byte header, the `Request` index,
+//! client, id, the `Put` index, key and value.
 //!
 //! # Robustness
 //!
 //! Malformed input **errors, never panics, never allocates unboundedly**: a
-//! length prefix is rejected above [`MAX_FRAME_LEN`] before any payload is
-//! read, every collection count is validated against the bytes actually
-//! remaining before capacity is reserved, nesting is capped at a fixed
-//! depth (the decoder is recursive), and trailing bytes after a complete
-//! value are an error. The socket transport drops the connection on the
-//! first [`WireError`] from a peer.
+//! length prefix outside `8..=`[`MAX_FRAME_LEN`] is rejected before any
+//! payload is read, every `Vec` count is checked against the bytes actually
+//! remaining (at the element type's minimum encoded length) before capacity
+//! is reserved, and unknown variant indices and trailing bytes after a
+//! complete message are errors. Recursion depth is fixed by the message
+//! types, not by the input. The socket transport drops the connection on
+//! the first [`WireError`] from a peer.
 
 use crate::crypto::{Digest, Signature};
-use crate::minbft::{
-    ByzantineMode, ControlMessage, Message, Operation, PreparedCertificate, Request,
-};
+use crate::minbft::{ByzantineMode, ControlMessage, Message, Operation, Request};
 use crate::usig::UniqueIdentifier;
 use crate::NodeId;
-use serde::{Serialize, Value};
 
 /// Hard ceiling on the post-length-prefix size of one frame (16 MiB):
 /// larger prefixes are rejected before any allocation. State transfers are
@@ -61,19 +59,13 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Bytes of the frame header: the `len` prefix plus `from` and `to`.
 pub const FRAME_HEADER_LEN: usize = 12;
 
-/// Maximum `Value` nesting the decoder accepts. Protocol messages nest a
-/// handful of levels (message → field object → array of tuples → ints); the
-/// cap exists so adversarial input like `[[[[…` cannot overflow the
-/// decoder's recursion.
-const MAX_DEPTH: usize = 32;
-
 /// A malformed frame or payload. Every variant is a protocol violation by
 /// the peer; the connection that produced it is dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The input ended before the announced structure was complete.
     Truncated,
-    /// A complete value was decoded but input bytes remain.
+    /// A complete message was decoded but input bytes remain.
     TrailingBytes,
     /// The length prefix exceeds [`MAX_FRAME_LEN`].
     FrameTooLarge {
@@ -86,21 +78,12 @@ pub enum WireError {
         /// The announced frame length.
         len: u64,
     },
-    /// An unknown `Value` tag byte.
-    UnknownTag {
-        /// The rejected tag.
-        tag: u8,
-    },
-    /// Value nesting exceeds the decoder's fixed depth cap.
-    TooDeep,
-    /// A string's bytes are not valid UTF-8.
-    BadUtf8,
-    /// The payload decoded into a `Value` tree that does not describe any
-    /// protocol message (unknown variant, missing field, wrong type, or an
-    /// integer out of range for its field).
-    Malformed {
-        /// Which mapping step rejected the tree.
-        context: &'static str,
+    /// A variant index that names no variant of the enum being decoded.
+    UnknownVariant {
+        /// The enum being decoded.
+        type_name: &'static str,
+        /// The rejected index.
+        index: u8,
     },
 }
 
@@ -108,213 +91,253 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => write!(f, "frame truncated"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after value"),
+            WireError::TrailingBytes => write!(f, "trailing bytes after message"),
             WireError::FrameTooLarge { len } => {
                 write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
             }
             WireError::FrameTooShort { len } => {
                 write!(f, "frame length {len} cannot cover the from/to header")
             }
-            WireError::UnknownTag { tag } => write!(f, "unknown value tag {tag}"),
-            WireError::TooDeep => write!(f, "value nesting exceeds {MAX_DEPTH}"),
-            WireError::BadUtf8 => write!(f, "string is not valid UTF-8"),
-            WireError::Malformed { context } => write!(f, "malformed message: {context}"),
+            WireError::UnknownVariant { type_name, index } => {
+                write!(f, "unknown {type_name} variant index {index}")
+            }
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
+/// A type with a fixed-layout encoding. `get` reads from the front of
+/// `input` and advances it past the bytes it consumed.
+trait Wire: Sized {
+    /// The fewest bytes any value of the type encodes to: the bound a
+    /// decoded `Vec` count is checked against before capacity is reserved.
+    const MIN_LEN: usize;
+
+    fn put(&self, buf: &mut Vec<u8>);
+
+    fn get(input: &mut &[u8]) -> Result<Self, WireError>;
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    // Strings on this wire are variant and field names: short ASCII
-    // identifiers, so the u32 length never saturates.
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
+/// Implements [`Wire`] for unsigned integers: little-endian bytes.
+macro_rules! wire_int {
+    ($($int:ty),+) => {$(
+        impl Wire for $int {
+            const MIN_LEN: usize = std::mem::size_of::<$int>();
 
-fn encode_value(value: &Value, buf: &mut Vec<u8>) {
-    match value {
-        Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            buf.push(u8::from(*b));
-        }
-        Value::U64(v) => {
-            buf.push(2);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::I64(v) => {
-            buf.push(3);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::F64(v) => {
-            buf.push(4);
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(5);
-            put_str(buf, s);
-        }
-        Value::Array(items) => {
-            buf.push(6);
-            put_u32(buf, items.len() as u32);
-            for item in items {
-                encode_value(item, buf);
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+                let (bytes, rest) = input.split_first_chunk().ok_or(WireError::Truncated)?;
+                *input = rest;
+                Ok(<$int>::from_le_bytes(*bytes))
             }
         }
-        Value::Object(entries) => {
-            buf.push(7);
-            put_u32(buf, entries.len() as u32);
-            for (key, entry) in entries {
-                put_str(buf, key);
-                encode_value(entry, buf);
+    )+};
+}
+
+wire_int!(u8, u32, u64);
+
+/// Implements [`Wire`] for a struct: its fields in the listed order. The
+/// listed field types give `MIN_LEN`; the compiler checks them against the
+/// struct.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:tt: $field_ty:ty),+ $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$field_ty as Wire>::MIN_LEN)+;
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)+
+            }
+
+            fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($ty { $($field: <$field_ty as Wire>::get(input)?),+ })
             }
         }
-    }
+    };
 }
 
-/// Bounds-checked reader over one frame payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+wire_struct!(Digest { 0: u64 });
+wire_struct!(Signature {
+    signer: NodeId,
+    tag: u64
+});
+wire_struct!(UniqueIdentifier {
+    replica: NodeId,
+    counter: u64,
+    signature: Signature
+});
+wire_struct!(Request {
+    client: NodeId,
+    id: u64,
+    operation: Operation
+});
+
+/// Implements [`Wire`] for an enum: the variant's index as one byte, then
+/// its fields in the listed order. `put` must match every variant, so a
+/// variant added to the enum without a wire index does not compile.
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($index:literal => $variant:ident $(($($tuple:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            // Every value is at least its variant index.
+            const MIN_LEN: usize = 1;
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($tuple),+))? $({ $($field),+ })? => {
+                        buf.push($index);
+                        $($($tuple.put(buf);)+)?
+                        $($($field.put(buf);)+)?
+                    })+
+                }
+            }
+
+            fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(match u8::get(input)? {
+                    $($index => {
+                        $($(let $tuple = Wire::get(input)?;)+)?
+                        $($(let $field = Wire::get(input)?;)+)?
+                        $ty::$variant $(($($tuple),+))? $({ $($field),+ })?
+                    })+
+                    index => {
+                        return Err(WireError::UnknownVariant {
+                            type_name: stringify!($ty),
+                            index,
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+wire_enum!(Operation {
+    0 => Read,
+    1 => Write(value),
+    2 => Put { key, value },
+    3 => Get { key },
+    4 => TxReserve { tx, key, value },
+    5 => TxCommit { tx, key },
+    6 => TxAbort { tx, key },
+});
+
+wire_enum!(ByzantineMode {
+    0 => Correct,
+    1 => Silent,
+    2 => Arbitrary,
+});
+
+wire_enum!(ControlMessage {
+    0 => Recover,
+    1 => Reconfigure { epoch, membership },
+    2 => Compromise { mode },
+});
+
+wire_enum!(Message {
+    0 => Request(request),
+    1 => Prepare { view, sequence, requests, ui },
+    2 => Commit { view, sequence, batch_digest, ui },
+    3 => Reply { request_id, value, sequence },
+    4 => Checkpoint { sequence, log_len, state_digest },
+    5 => ViewChange { epoch, new_view, high_sequence, stable_sequence, prepared },
+    6 => NewView { epoch, view, membership, next_sequence },
+    7 => StateRequest { epoch },
+    8 => StateTransfer {
+        epoch, value, kv, staged, log_start, last_executed, log_chain, stable_sequence,
+        executed, view, membership, replies, prepared, chain_base, ui_high
+    },
+    9 => UiResendRequest { from_counter },
+    10 => Control(control),
+});
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        // Receivers reject frames above `MAX_FRAME_LEN` bytes, so no count
+        // on a deliverable frame saturates the u32.
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if n > self.remaining() {
+    fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+        let count = u32::get(input)? as usize;
+        // A count the remaining bytes cannot hold is rejected *before* any
+        // capacity is reserved: an adversarial `u32::MAX` must not allocate.
+        if count.saturating_mul(T::MIN_LEN) > input.len() {
             return Err(WireError::Truncated);
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        // `take` rejects lengths beyond the input, so the allocation below
-        // is bounded by the frame size.
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Reads a collection count and validates it against the bytes left:
-    /// every element occupies at least `min_element_len` bytes, so a count
-    /// that cannot possibly fit is rejected *before* any capacity is
-    /// reserved (an adversarial `u32::MAX` count must not allocate).
-    fn count(&mut self, min_element_len: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_element_len) > self.remaining() {
-            return Err(WireError::Truncated);
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(input)?);
         }
-        Ok(count)
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, WireError> {
-        if depth >= MAX_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.u8()? != 0)),
-            2 => Ok(Value::U64(self.u64()?)),
-            3 => Ok(Value::I64(self.u64()? as i64)),
-            4 => Ok(Value::F64(f64::from_bits(self.u64()?))),
-            5 => Ok(Value::Str(self.string()?)),
-            6 => {
-                // Each element is at least a 1-byte tag.
-                let count = self.count(1)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            7 => {
-                // Each entry is at least a 4-byte key length plus a 1-byte
-                // value tag.
-                let count = self.count(5)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.string()?;
-                    let entry = self.value(depth + 1)?;
-                    entries.push((key, entry));
-                }
-                Ok(Value::Object(entries))
-            }
-            tag => Err(WireError::UnknownTag { tag }),
-        }
+        Ok(items)
     }
 }
 
-/// Encodes one `Value` tree as this module's binary format.
-pub fn encode_value_bytes(value: &Value) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_value(value, &mut buf);
-    buf
+/// Implements [`Wire`] for a tuple: its elements in order.
+macro_rules! wire_tuple {
+    ($($name:ident $index:tt),+) => {
+        impl<$($name: Wire),+> Wire for ($($name,)+) {
+            const MIN_LEN: usize = 0 $(+ $name::MIN_LEN)+;
+
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$index.put(buf);)+
+            }
+
+            fn get(input: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($name::get(input)?,)+))
+            }
+        }
+    };
 }
 
-/// Decodes one `Value` tree, requiring the input to be fully consumed.
-///
-/// # Errors
-///
-/// Any [`WireError`] the bounds-checked decoder hits.
-pub fn decode_value_bytes(bytes: &[u8]) -> Result<Value, WireError> {
-    let mut cursor = Cursor { buf: bytes, pos: 0 };
-    let value = cursor.value(0)?;
-    if cursor.remaining() != 0 {
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+wire_tuple!(A 0, B 1, C 2, D 3);
+
+/// Decodes one `T`, requiring the input to be fully consumed.
+fn decode_all<T: Wire>(mut input: &[u8]) -> Result<T, WireError> {
+    let value = T::get(&mut input)?;
+    if !input.is_empty() {
         return Err(WireError::TrailingBytes);
     }
     Ok(value)
 }
 
-/// Encodes a message payload (no frame header): the derived `Serialize`
-/// lowering followed by the binary `Value` encoding.
+/// Encodes a message payload (no frame header).
 pub fn encode_message(message: &Message) -> Vec<u8> {
-    encode_value_bytes(&message.to_value())
+    let mut buf = Vec::new();
+    message.put(&mut buf);
+    buf
 }
 
 /// Decodes a message payload produced by [`encode_message`].
 ///
 /// # Errors
 ///
-/// Any [`WireError`]: malformed binary, or a `Value` tree that does not
-/// describe a protocol message.
+/// Any [`WireError`] the bounds-checked decoder hits.
 pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
-    message_from_value(&decode_value_bytes(bytes)?)
+    decode_all(bytes)
 }
 
 /// Encodes a full frame: length prefix, sender, recipient, payload.
 pub fn encode_frame(from: NodeId, to: NodeId, message: &Message) -> Vec<u8> {
-    let payload = encode_message(message);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    put_u32(&mut frame, (8 + payload.len()) as u32);
-    put_u32(&mut frame, from);
-    put_u32(&mut frame, to);
-    frame.extend_from_slice(&payload);
+    // One allocation covers every normal-case frame; the length prefix is
+    // filled in once the payload is written.
+    let mut frame = Vec::with_capacity(256);
+    frame.extend_from_slice(&[0; 4]);
+    from.put(&mut frame);
+    to.put(&mut frame);
+    message.put(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
 }
 
@@ -343,393 +366,7 @@ pub fn frame_body_len(prefix: [u8; 4]) -> Result<usize, WireError> {
 ///
 /// Any [`WireError`] from the payload decoder.
 pub fn decode_frame_body(body: &[u8]) -> Result<(NodeId, NodeId, Message), WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let from = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
-    let to = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
-    let message = decode_message(&body[8..])?;
-    Ok((from, to, message))
-}
-
-// ---------------------------------------------------------------------------
-// Value → Message mapping (the deserializer the serde shim does not ship).
-// ---------------------------------------------------------------------------
-
-fn malformed<T>(context: &'static str) -> Result<T, WireError> {
-    Err(WireError::Malformed { context })
-}
-
-fn as_obj<'a>(value: &'a Value, context: &'static str) -> Result<&'a [(String, Value)], WireError> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        _ => malformed(context),
-    }
-}
-
-fn as_array<'a>(value: &'a Value, context: &'static str) -> Result<&'a [Value], WireError> {
-    match value {
-        Value::Array(items) => Ok(items),
-        _ => malformed(context),
-    }
-}
-
-fn as_u64(value: &Value, context: &'static str) -> Result<u64, WireError> {
-    match value {
-        Value::U64(v) => Ok(*v),
-        _ => malformed(context),
-    }
-}
-
-fn as_u32(value: &Value, context: &'static str) -> Result<u32, WireError> {
-    u32::try_from(as_u64(value, context)?).or(Err(WireError::Malformed { context }))
-}
-
-fn field<'a>(
-    entries: &'a [(String, Value)],
-    name: &str,
-    context: &'static str,
-) -> Result<&'a Value, WireError> {
-    entries
-        .iter()
-        .find_map(|(key, value)| (key == name).then_some(value))
-        .ok_or(WireError::Malformed { context })
-}
-
-/// The single `variant name → inner value` entry the derive emits for
-/// data-carrying enum variants; unit variants lower to a plain string.
-enum VariantValue<'a> {
-    Unit(&'a str),
-    Data(&'a str, &'a Value),
-}
-
-fn variant_of<'a>(value: &'a Value, context: &'static str) -> Result<VariantValue<'a>, WireError> {
-    match value {
-        Value::Str(name) => Ok(VariantValue::Unit(name)),
-        Value::Object(entries) => match entries.as_slice() {
-            [(name, inner)] => Ok(VariantValue::Data(name, inner)),
-            _ => malformed(context),
-        },
-        _ => malformed(context),
-    }
-}
-
-fn vec_of<T>(
-    value: &Value,
-    context: &'static str,
-    element: impl Fn(&Value) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    as_array(value, context)?.iter().map(element).collect()
-}
-
-fn tuple_of<'a, const N: usize>(
-    value: &'a Value,
-    context: &'static str,
-) -> Result<&'a [Value; N], WireError> {
-    as_array(value, context)?
-        .try_into()
-        .or(Err(WireError::Malformed { context }))
-}
-
-fn digest_from_value(value: &Value) -> Result<Digest, WireError> {
-    // `Digest` is a one-field tuple struct: the derive lowers it to its
-    // inner `u64` directly.
-    Ok(Digest(as_u64(value, "digest")?))
-}
-
-fn signature_from_value(value: &Value) -> Result<Signature, WireError> {
-    let entries = as_obj(value, "signature")?;
-    Ok(Signature {
-        signer: as_u32(field(entries, "signer", "signature")?, "signature.signer")?,
-        tag: as_u64(field(entries, "tag", "signature")?, "signature.tag")?,
-    })
-}
-
-fn ui_from_value(value: &Value) -> Result<UniqueIdentifier, WireError> {
-    let entries = as_obj(value, "ui")?;
-    Ok(UniqueIdentifier {
-        replica: as_u32(field(entries, "replica", "ui")?, "ui.replica")?,
-        counter: as_u64(field(entries, "counter", "ui")?, "ui.counter")?,
-        signature: signature_from_value(field(entries, "signature", "ui")?)?,
-    })
-}
-
-fn operation_from_value(value: &Value) -> Result<Operation, WireError> {
-    match variant_of(value, "operation")? {
-        VariantValue::Unit("Read") => Ok(Operation::Read),
-        VariantValue::Data("Write", inner) => Ok(Operation::Write(as_u64(inner, "Write")?)),
-        VariantValue::Data("Put", inner) => {
-            let entries = as_obj(inner, "Put")?;
-            Ok(Operation::Put {
-                key: as_u32(field(entries, "key", "Put")?, "Put.key")?,
-                value: as_u64(field(entries, "value", "Put")?, "Put.value")?,
-            })
-        }
-        VariantValue::Data("Get", inner) => {
-            let entries = as_obj(inner, "Get")?;
-            Ok(Operation::Get {
-                key: as_u32(field(entries, "key", "Get")?, "Get.key")?,
-            })
-        }
-        VariantValue::Data("TxReserve", inner) => {
-            let entries = as_obj(inner, "TxReserve")?;
-            Ok(Operation::TxReserve {
-                tx: as_u64(field(entries, "tx", "TxReserve")?, "TxReserve.tx")?,
-                key: as_u32(field(entries, "key", "TxReserve")?, "TxReserve.key")?,
-                value: as_u64(field(entries, "value", "TxReserve")?, "TxReserve.value")?,
-            })
-        }
-        VariantValue::Data("TxCommit", inner) => {
-            let entries = as_obj(inner, "TxCommit")?;
-            Ok(Operation::TxCommit {
-                tx: as_u64(field(entries, "tx", "TxCommit")?, "TxCommit.tx")?,
-                key: as_u32(field(entries, "key", "TxCommit")?, "TxCommit.key")?,
-            })
-        }
-        VariantValue::Data("TxAbort", inner) => {
-            let entries = as_obj(inner, "TxAbort")?;
-            Ok(Operation::TxAbort {
-                tx: as_u64(field(entries, "tx", "TxAbort")?, "TxAbort.tx")?,
-                key: as_u32(field(entries, "key", "TxAbort")?, "TxAbort.key")?,
-            })
-        }
-        _ => malformed("operation variant"),
-    }
-}
-
-fn request_from_value(value: &Value) -> Result<Request, WireError> {
-    let entries = as_obj(value, "request")?;
-    Ok(Request {
-        client: as_u32(field(entries, "client", "request")?, "request.client")?,
-        id: as_u64(field(entries, "id", "request")?, "request.id")?,
-        operation: operation_from_value(field(entries, "operation", "request")?)?,
-    })
-}
-
-fn certificate_from_value(value: &Value) -> Result<PreparedCertificate, WireError> {
-    let [sequence, view, batch] = tuple_of::<3>(value, "certificate")?;
-    Ok((
-        as_u64(sequence, "certificate.sequence")?,
-        as_u64(view, "certificate.view")?,
-        vec_of(batch, "certificate.batch", request_from_value)?,
-    ))
-}
-
-fn byzantine_mode_from_value(value: &Value) -> Result<ByzantineMode, WireError> {
-    match variant_of(value, "byzantine mode")? {
-        VariantValue::Unit("Correct") => Ok(ByzantineMode::Correct),
-        VariantValue::Unit("Silent") => Ok(ByzantineMode::Silent),
-        VariantValue::Unit("Arbitrary") => Ok(ByzantineMode::Arbitrary),
-        _ => malformed("byzantine mode variant"),
-    }
-}
-
-fn membership_from_value(value: &Value) -> Result<Vec<NodeId>, WireError> {
-    vec_of(value, "membership", |v| as_u32(v, "membership entry"))
-}
-
-fn control_from_value(value: &Value) -> Result<ControlMessage, WireError> {
-    match variant_of(value, "control")? {
-        VariantValue::Unit("Recover") => Ok(ControlMessage::Recover),
-        VariantValue::Data("Reconfigure", inner) => {
-            let entries = as_obj(inner, "Reconfigure")?;
-            Ok(ControlMessage::Reconfigure {
-                epoch: as_u64(field(entries, "epoch", "Reconfigure")?, "Reconfigure.epoch")?,
-                membership: membership_from_value(field(entries, "membership", "Reconfigure")?)?,
-            })
-        }
-        VariantValue::Data("Compromise", inner) => {
-            let entries = as_obj(inner, "Compromise")?;
-            Ok(ControlMessage::Compromise {
-                mode: byzantine_mode_from_value(field(entries, "mode", "Compromise")?)?,
-            })
-        }
-        _ => malformed("control variant"),
-    }
-}
-
-/// Maps a decoded `Value` tree back into the [`Message`] it lowered from.
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] when the tree does not describe any variant.
-pub(crate) fn message_from_value(value: &Value) -> Result<Message, WireError> {
-    let VariantValue::Data(variant, inner) = variant_of(value, "message")? else {
-        return malformed("message variant");
-    };
-    match variant {
-        "Request" => Ok(Message::Request(request_from_value(inner)?)),
-        "Prepare" => {
-            let entries = as_obj(inner, "Prepare")?;
-            Ok(Message::Prepare {
-                view: as_u64(field(entries, "view", "Prepare")?, "Prepare.view")?,
-                sequence: as_u64(field(entries, "sequence", "Prepare")?, "Prepare.sequence")?,
-                requests: vec_of(
-                    field(entries, "requests", "Prepare")?,
-                    "Prepare.requests",
-                    request_from_value,
-                )?,
-                ui: ui_from_value(field(entries, "ui", "Prepare")?)?,
-            })
-        }
-        "Commit" => {
-            let entries = as_obj(inner, "Commit")?;
-            Ok(Message::Commit {
-                view: as_u64(field(entries, "view", "Commit")?, "Commit.view")?,
-                sequence: as_u64(field(entries, "sequence", "Commit")?, "Commit.sequence")?,
-                batch_digest: digest_from_value(field(entries, "batch_digest", "Commit")?)?,
-                ui: ui_from_value(field(entries, "ui", "Commit")?)?,
-            })
-        }
-        "Reply" => {
-            let entries = as_obj(inner, "Reply")?;
-            Ok(Message::Reply {
-                request_id: as_u64(field(entries, "request_id", "Reply")?, "Reply.request_id")?,
-                value: as_u64(field(entries, "value", "Reply")?, "Reply.value")?,
-                sequence: as_u64(field(entries, "sequence", "Reply")?, "Reply.sequence")?,
-            })
-        }
-        "Checkpoint" => {
-            let entries = as_obj(inner, "Checkpoint")?;
-            Ok(Message::Checkpoint {
-                sequence: as_u64(
-                    field(entries, "sequence", "Checkpoint")?,
-                    "Checkpoint.sequence",
-                )?,
-                log_len: as_u64(
-                    field(entries, "log_len", "Checkpoint")?,
-                    "Checkpoint.log_len",
-                )?,
-                state_digest: digest_from_value(field(entries, "state_digest", "Checkpoint")?)?,
-            })
-        }
-        "ViewChange" => {
-            let entries = as_obj(inner, "ViewChange")?;
-            Ok(Message::ViewChange {
-                epoch: as_u64(field(entries, "epoch", "ViewChange")?, "ViewChange.epoch")?,
-                new_view: as_u64(
-                    field(entries, "new_view", "ViewChange")?,
-                    "ViewChange.new_view",
-                )?,
-                high_sequence: as_u64(
-                    field(entries, "high_sequence", "ViewChange")?,
-                    "ViewChange.high_sequence",
-                )?,
-                stable_sequence: as_u64(
-                    field(entries, "stable_sequence", "ViewChange")?,
-                    "ViewChange.stable_sequence",
-                )?,
-                prepared: vec_of(
-                    field(entries, "prepared", "ViewChange")?,
-                    "ViewChange.prepared",
-                    certificate_from_value,
-                )?,
-            })
-        }
-        "NewView" => {
-            let entries = as_obj(inner, "NewView")?;
-            Ok(Message::NewView {
-                epoch: as_u64(field(entries, "epoch", "NewView")?, "NewView.epoch")?,
-                view: as_u64(field(entries, "view", "NewView")?, "NewView.view")?,
-                membership: membership_from_value(field(entries, "membership", "NewView")?)?,
-                next_sequence: as_u64(
-                    field(entries, "next_sequence", "NewView")?,
-                    "NewView.next_sequence",
-                )?,
-            })
-        }
-        "StateRequest" => {
-            let entries = as_obj(inner, "StateRequest")?;
-            Ok(Message::StateRequest {
-                epoch: as_u64(
-                    field(entries, "epoch", "StateRequest")?,
-                    "StateRequest.epoch",
-                )?,
-            })
-        }
-        "StateTransfer" => {
-            let entries = as_obj(inner, "StateTransfer")?;
-            let ctx = "StateTransfer";
-            Ok(Message::StateTransfer {
-                epoch: as_u64(field(entries, "epoch", ctx)?, "StateTransfer.epoch")?,
-                value: as_u64(field(entries, "value", ctx)?, "StateTransfer.value")?,
-                kv: vec_of(field(entries, "kv", ctx)?, "StateTransfer.kv", |v| {
-                    let [key, val] = tuple_of::<2>(v, "kv entry")?;
-                    Ok((as_u32(key, "kv key")?, as_u64(val, "kv value")?))
-                })?,
-                staged: vec_of(
-                    field(entries, "staged", ctx)?,
-                    "StateTransfer.staged",
-                    |v| {
-                        let [tx, key, val] = tuple_of::<3>(v, "staged entry")?;
-                        Ok((
-                            as_u64(tx, "staged tx")?,
-                            as_u32(key, "staged key")?,
-                            as_u64(val, "staged value")?,
-                        ))
-                    },
-                )?,
-                log_start: as_u64(field(entries, "log_start", ctx)?, "StateTransfer.log_start")?,
-                last_executed: as_u64(
-                    field(entries, "last_executed", ctx)?,
-                    "StateTransfer.last_executed",
-                )?,
-                log_chain: digest_from_value(field(entries, "log_chain", ctx)?)?,
-                stable_sequence: as_u64(
-                    field(entries, "stable_sequence", ctx)?,
-                    "StateTransfer.stable_sequence",
-                )?,
-                executed: vec_of(
-                    field(entries, "executed", ctx)?,
-                    "StateTransfer.executed",
-                    digest_from_value,
-                )?,
-                view: as_u64(field(entries, "view", ctx)?, "StateTransfer.view")?,
-                membership: membership_from_value(field(entries, "membership", ctx)?)?,
-                replies: vec_of(
-                    field(entries, "replies", ctx)?,
-                    "StateTransfer.replies",
-                    |v| {
-                        let [client, id, val, sequence] = tuple_of::<4>(v, "reply entry")?;
-                        Ok((
-                            as_u32(client, "reply client")?,
-                            as_u64(id, "reply id")?,
-                            as_u64(val, "reply value")?,
-                            as_u64(sequence, "reply sequence")?,
-                        ))
-                    },
-                )?,
-                prepared: vec_of(
-                    field(entries, "prepared", ctx)?,
-                    "StateTransfer.prepared",
-                    certificate_from_value,
-                )?,
-                chain_base: digest_from_value(field(entries, "chain_base", ctx)?)?,
-                ui_high: vec_of(
-                    field(entries, "ui_high", ctx)?,
-                    "StateTransfer.ui_high",
-                    |v| {
-                        let [node, counter] = tuple_of::<2>(v, "ui_high entry")?;
-                        Ok((
-                            as_u32(node, "ui_high node")?,
-                            as_u64(counter, "ui_high counter")?,
-                        ))
-                    },
-                )?,
-            })
-        }
-        "UiResendRequest" => {
-            let entries = as_obj(inner, "UiResendRequest")?;
-            Ok(Message::UiResendRequest {
-                from_counter: as_u64(
-                    field(entries, "from_counter", "UiResendRequest")?,
-                    "UiResendRequest.from_counter",
-                )?,
-            })
-        }
-        "Control" => Ok(Message::Control(control_from_value(inner)?)),
-        _ => malformed("message variant"),
-    }
+    decode_all(body)
 }
 
 #[cfg(test)]
@@ -879,6 +516,38 @@ mod tests {
     }
 
     #[test]
+    fn frame_sizes_follow_the_documented_layout() {
+        let put = sample_request(10_000, 1, Operation::Put { key: 9, value: 4 });
+        // Header, `Request` index, client, id, `Put` index, key, value.
+        let request = encode_frame(0, 1, &Message::Request(put));
+        assert_eq!(request.len(), 38);
+        let prepare = encode_frame(
+            0,
+            1,
+            &Message::Prepare {
+                view: 0,
+                sequence: 1,
+                requests: vec![put; 16],
+                ui: sample_ui(0, 1),
+            },
+        );
+        // Header, index, view, sequence, count, 16 × 25-byte requests, UI.
+        assert_eq!(prepare.len(), 457);
+        let commit = encode_frame(
+            1,
+            0,
+            &Message::Commit {
+                view: 0,
+                sequence: 1,
+                batch_digest: Digest(7),
+                ui: sample_ui(1, 1),
+            },
+        );
+        // Header, index, view, sequence, digest, UI.
+        assert_eq!(commit.len(), 61);
+    }
+
+    #[test]
     fn oversized_and_undersized_length_prefixes_are_rejected() {
         let too_large = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
         assert_eq!(
@@ -933,80 +602,67 @@ mod tests {
             let mut corrupted = original.clone();
             corrupted[position] ^= 0xff;
             // Either a clean decode error or a (harmless) different message;
-            // never a panic. Decoding then re-encoding must stay consistent.
+            // never a panic. A message has exactly one encoding, so a
+            // successful decode re-encodes to the corrupted bytes.
             if let Ok(message) = decode_message(&corrupted) {
-                let reencoded = encode_message(&message);
                 assert_eq!(
-                    decode_message(&reencoded).expect("round trip"),
-                    message,
-                    "corruption at {position} produced an unstable decode"
+                    encode_message(&message),
+                    corrupted,
+                    "corruption at {position} decoded non-canonically"
                 );
             }
         }
     }
 
     #[test]
-    fn adversarial_counts_do_not_allocate_unboundedly() {
-        // An array claiming u32::MAX elements backed by 4 bytes of input:
-        // the count/remaining check must reject it before reserving.
-        let mut bytes = vec![6u8];
+    fn adversarial_counts_are_rejected_before_allocation() {
+        // A PREPARE claiming u32::MAX requests backed by a few bytes: the
+        // count/remaining check must reject it before reserving.
+        let mut bytes = vec![1u8];
+        bytes.extend_from_slice(&[0; 16]); // view, sequence
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_value_bytes(&bytes), Err(WireError::Truncated));
+        bytes.extend_from_slice(&[0; 24]);
+        assert_eq!(decode_message(&bytes), Err(WireError::Truncated));
 
-        // Same for objects (which reserve 5 bytes per entry minimum).
-        let mut bytes = vec![7u8];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_value_bytes(&bytes), Err(WireError::Truncated));
+        // A count that fits at one byte per element but not at the element
+        // type's minimum (a `Request` is at least 13 bytes).
+        let mut bytes = vec![1u8];
+        bytes.extend_from_slice(&[0; 16]);
+        bytes.extend_from_slice(&10u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 100]);
+        assert_eq!(decode_message(&bytes), Err(WireError::Truncated));
 
-        // A string claiming more bytes than remain.
+        // The check holds at every nesting level: a VIEW-CHANGE carrying one
+        // certificate whose batch claims u32::MAX requests.
         let mut bytes = vec![5u8];
-        bytes.extend_from_slice(&1_000_000u32.to_le_bytes());
-        bytes.extend_from_slice(b"short");
-        assert_eq!(decode_value_bytes(&bytes), Err(WireError::Truncated));
+        bytes.extend_from_slice(&[0; 32]); // epoch … stable_sequence
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]); // certificate sequence, view
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(decode_message(&bytes), Err(WireError::Truncated));
     }
 
     #[test]
-    fn deep_nesting_is_rejected_not_overflowed() {
-        // `[[[[…` one byte of array header per level: must hit the depth cap
-        // long before exhausting the stack.
-        let mut bytes = Vec::new();
-        for _ in 0..10_000 {
-            bytes.push(6u8);
-            bytes.extend_from_slice(&1u32.to_le_bytes());
-        }
-        bytes.push(0u8); // innermost Null
-        assert_eq!(decode_value_bytes(&bytes), Err(WireError::TooDeep));
-    }
+    fn unknown_variants_and_trailing_bytes_are_rejected() {
+        let unknown = |type_name, index| Err(WireError::UnknownVariant { type_name, index });
+        assert_eq!(decode_message(&[11]), unknown("Message", 11));
+        assert_eq!(decode_message(&[0xff; 4]), unknown("Message", 0xff));
 
-    #[test]
-    fn unknown_tags_and_trailing_bytes_are_rejected() {
-        assert_eq!(
-            decode_value_bytes(&[9u8]),
-            Err(WireError::UnknownTag { tag: 9 })
-        );
-        assert_eq!(decode_value_bytes(&[]), Err(WireError::Truncated));
+        let mut request = encode_message(&Message::Request(sample_request(
+            10_000,
+            1,
+            Operation::Read,
+        )));
+        *request.last_mut().unwrap() = 7;
+        assert_eq!(decode_message(&request), unknown("Operation", 7));
+
+        assert_eq!(decode_message(&[10, 3]), unknown("ControlMessage", 3));
+        assert_eq!(decode_message(&[10, 2, 3]), unknown("ByzantineMode", 3));
+
+        assert_eq!(decode_message(&[]), Err(WireError::Truncated));
         let mut bytes = encode_message(&Message::StateRequest { epoch: 1 });
         bytes.push(0);
         assert_eq!(decode_message(&bytes), Err(WireError::TrailingBytes));
-    }
-
-    #[test]
-    fn non_message_values_are_malformed_not_panics() {
-        for value in [
-            Value::Null,
-            Value::U64(3),
-            Value::Str("NotAVariant".into()),
-            Value::Object(vec![("Prepare".into(), Value::Null)]),
-            Value::Object(vec![("Reply".into(), Value::Object(vec![]))]),
-            Value::Object(vec![
-                ("Reply".into(), Value::Null),
-                ("Commit".into(), Value::Null),
-            ]),
-        ] {
-            assert!(matches!(
-                message_from_value(&value),
-                Err(WireError::Malformed { .. })
-            ));
-        }
     }
 }

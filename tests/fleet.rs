@@ -8,13 +8,15 @@
 //! counterexample is written to `simnet-counterexamples/` and uploaded as a
 //! workflow artifact.
 
+mod common;
+
 use tolerance::consensus::sharded::shard_seed;
 use tolerance::core::simnet::oracle::{InvariantKind, Violation};
 use tolerance::core::simnet::{
-    find_sharded_counterexample, fleet_scale_config, load_swing_config, run_sharded_schedule,
-    run_sharded_schedule_with, Counterexample, FaultEvent, FaultSchedule, FleetEngine,
-    ScheduledFault, ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport,
-    ShardedScheduleConfig,
+    find_counterexample, find_sharded_counterexample, fleet_scale_config, load_swing_config,
+    run_sharded_schedule, run_sharded_schedule_with, Counterexample, FaultEvent, FaultSchedule,
+    FleetEngine, ScheduleConfig, ScheduledFault, ShardedCounterexample, ShardedFaultSchedule,
+    ShardedRunReport, ShardedScheduleConfig,
 };
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -100,19 +102,60 @@ fn lift_single_group(
     (schedule, config)
 }
 
+/// The archived counterexamples, committed under `tests/fixtures/`.
+const ARCHIVED: [&str; 3] = [
+    "expected-double-commit.json",
+    "expected-liveness-after-gst.json",
+    "adversary-lying-donor-gst-seed19.json",
+];
+
+/// The documents the [`ARCHIVED`] fixtures must hold, rebuilt in code.
+fn archived_counterexamples() -> [Counterexample; 3] {
+    let shrink = |(schedule, config): (FaultSchedule, ScheduleConfig)| {
+        find_counterexample(&schedule, &config)
+            .expect("harness constructs")
+            .expect("the case violates an invariant")
+    };
+    [
+        shrink(common::double_commit_case()),
+        shrink(common::liveness_after_gst_case()),
+        common::lying_donor_seed19(),
+    ]
+}
+
+fn read_fixture(name: &str) -> Result<Counterexample, String> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let json =
+        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    Counterexample::from_json(&json).map_err(|e| format!("decode {}: {e}", path.display()))
+}
+
+#[test]
+fn archived_counterexample_fixtures_are_present_and_current() {
+    let mut problems = Vec::new();
+    for (name, built) in ARCHIVED.into_iter().zip(archived_counterexamples()) {
+        let problem = match read_fixture(name) {
+            Ok(fixture) if fixture == built => continue,
+            Ok(_) => format!("fixture {name} differs from the document built in code"),
+            Err(error) => error,
+        };
+        // Leave the rebuilt document where the CI jobs collect artifacts;
+        // copying it over the fixture refreshes it.
+        publish_counterexample(name, &built.to_json().expect("serializable"));
+        problems.push(format!(
+            "{problem} (rebuilt: simnet-counterexamples/{name})"
+        ));
+    }
+    assert!(problems.is_empty(), "{problems:#?}");
+}
+
 #[test]
 fn lockstep_and_event_driven_agree_on_archived_counterexamples() {
-    let dir = std::path::Path::new("simnet-counterexamples");
     let mut checked = 0;
-    for name in [
-        "expected-double-commit.json",
-        "expected-liveness-after-gst.json",
-        "adversary-lying-donor-gst-seed19.json",
-    ] {
-        let json =
-            std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
-        let counterexample =
-            Counterexample::from_json(&json).unwrap_or_else(|e| panic!("decode {name}: {e}"));
+    for name in ARCHIVED {
+        let counterexample = read_fixture(name).unwrap_or_else(|e| panic!("{e}"));
         let (schedule, config) = lift_single_group(&counterexample);
         // Lifting changes the client driving (routed pool clients instead
         // of the single-group harness's), so the archived violation need
@@ -221,11 +264,11 @@ fn aimd_decisions_replay_exactly_from_a_counterexample_document() {
     assert_eq!(original, replayed);
 }
 
-fn publish_counterexample(name: &str, counterexample: &ShardedCounterexample) {
+/// Writes a JSON document where the CI jobs pick it up as an artifact.
+fn publish_counterexample(file_name: &str, json: &str) {
     let dir = std::path::Path::new("simnet-counterexamples");
     if std::fs::create_dir_all(dir).is_ok() {
-        let json = counterexample.to_json().expect("serializable");
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
+        let _ = std::fs::write(dir.join(file_name), json);
     }
 }
 
@@ -246,7 +289,10 @@ fn fleet_smoke_64_shards_passes_the_full_oracle_suite() {
             .expect("harness constructs");
         if let Some(violation) = &report.violation {
             if let Ok(Some(counterexample)) = find_sharded_counterexample(&schedule, &config) {
-                publish_counterexample(&format!("fleet-scale-64-seed{seed}"), &counterexample);
+                publish_counterexample(
+                    &format!("fleet-scale-64-seed{seed}.json"),
+                    &counterexample.to_json().expect("serializable"),
+                );
             }
             panic!("fleet/scale-64 seed {seed}: {violation}");
         }

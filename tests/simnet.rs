@@ -1,15 +1,16 @@
 //! Acceptance tests of the deterministic fault-injection harness (simnet):
 //! a bounded randomized-schedule suite over the full two-level stack, the
-//! byte-identical-replay guarantee across thread counts, the
-//! double-commit-detection + shrinking pipeline, and Raft under the shared
-//! partition API.
+//! byte-identical-replay guarantee across thread counts, and the
+//! double-commit-detection + shrinking pipeline.
 //!
 //! This suite doubles as the CI `simnet-smoke` job: any emitted
 //! counterexample is written to `simnet-counterexamples/` and uploaded as a
 //! workflow artifact.
 
+mod common;
+
 use std::collections::BTreeSet;
-use tolerance::consensus::{AttackerKind, ByzantineMode, RaftCluster, RaftConfig};
+use tolerance::consensus::{AttackerKind, ByzantineMode};
 use tolerance::core::controlplane::scenario::sim_intrusion_burst_config;
 use tolerance::core::runtime::{Runner, Scenario};
 use tolerance::core::simnet::{
@@ -179,13 +180,7 @@ fn identical_seed_is_byte_identical_across_thread_counts() {
 fn injected_double_commit_is_caught_shrunk_and_replayable() {
     // The deliberately injected implementation bug (test-only Byzantine
     // mode): a replica corrupts its execution while claiming to be correct.
-    let config = ScheduleConfig {
-        horizon: 16,
-        intensity: 0.4,
-        inject_double_commit_at: Some(5),
-        ..ScheduleConfig::default()
-    };
-    let schedule = FaultSchedule::generate(11, &config);
+    let (schedule, config) = common::double_commit_case();
     let counterexample = find_counterexample(&schedule, &config)
         .expect("harness constructs")
         .expect("the injected double commit must be caught");
@@ -408,49 +403,6 @@ fn pinned_reconfiguration_split_brain_counterexample_cannot_regress() {
 }
 
 #[test]
-fn raft_survives_partition_and_crash_chaos() {
-    // The shared partition/storm API on the crash-tolerant substrate: a
-    // scripted chaos schedule against Raft, with committed-log consistency
-    // as the agreement oracle.
-    for seed in 0..6 {
-        let mut raft = RaftCluster::new(RaftConfig {
-            members: 5,
-            seed,
-            ..RaftConfig::default()
-        });
-        raft.run_until(2.0);
-        assert!(raft.propose("op-1"));
-        raft.run_until(3.0);
-
-        // Partition a minority, keep proposing, heal, crash one member,
-        // restart it.
-        raft.partition_network(&[0, 1], &[2, 3, 4]);
-        raft.run_until(5.0);
-        raft.propose("op-2");
-        raft.run_until(7.0);
-        raft.heal_network();
-        raft.run_until(9.0);
-        raft.crash(2);
-        raft.propose("op-3");
-        raft.run_until(12.0);
-        raft.restart(2);
-        raft.run_until(16.0);
-
-        assert!(
-            raft.committed_logs_consistent(),
-            "seed {seed}: committed logs diverged"
-        );
-        let leader = raft.leader().expect("a leader after healing");
-        assert!(
-            !raft.committed_log(leader).is_empty(),
-            "seed {seed}: nothing committed"
-        );
-        assert!(!raft.is_crashed(2));
-        assert_eq!(raft.members(), &[0, 1, 2, 3, 4]);
-    }
-}
-
-#[test]
 fn adversary_matrix_sweep_passes_all_oracles_across_300_runs() {
     // The PR-7 acceptance sweep: every attacker variant of the zoo × every
     // network condition (sync / partial synchrony with GST / storms), 20
@@ -640,22 +592,7 @@ fn pre_gst_crash_majority_triggers_the_liveness_after_gst_oracle() {
     // unreachable, so requests submitted before GST can never commit —
     // the oracle must flag it, the shrinker must converge on a still-dead
     // kernel, and the counterexample must replay from JSON.
-    let config = ScheduleConfig {
-        horizon: 30,
-        delta_r: 100,
-        gst: Some(4),
-        post_gst_liveness_steps: 8,
-        ..ScheduleConfig::default()
-    };
-    let schedule = FaultSchedule::scripted(
-        0,
-        (1..=3)
-            .map(|node| ScheduledFault {
-                step: 1,
-                event: FaultEvent::CrashReplica { node },
-            })
-            .collect(),
-    );
+    let (schedule, config) = common::liveness_after_gst_case();
     let report = run_schedule(&schedule, &config).expect("harness constructs");
     let violation = report
         .violation
@@ -768,27 +705,7 @@ fn pinned_amnesiac_recovery_counterexample_cannot_regress() {
     // survives shrinking — the bug is plain recovery-under-loss, which is
     // exactly why the matrix sweeps mix network conditions into every
     // attacker cell.
-    let kernel = FaultSchedule::scripted(
-        19,
-        vec![
-            ScheduledFault {
-                step: 1,
-                event: FaultEvent::ClientBurst { requests: 1 },
-            },
-            ScheduledFault {
-                step: 8,
-                event: FaultEvent::ClientBurst { requests: 1 },
-            },
-            ScheduledFault {
-                step: 9,
-                event: FaultEvent::RecoverReplica { node: 3 },
-            },
-            ScheduledFault {
-                step: 9,
-                event: FaultEvent::ClientBurst { requests: 3 },
-            },
-        ],
-    );
+    let kernel = common::lying_donor_seed19().schedule;
     let report = run_schedule(&kernel, &config).expect("harness constructs");
     assert!(
         report.violation.is_none(),
