@@ -871,7 +871,9 @@ pub(crate) struct Replica {
     request_first_seen: HashMap<(NodeId, u64), SimTime>,
     /// Per proposed view: each voter's high-water mark, stable checkpoint
     /// and reported prepared certificates (see [`Message::ViewChange`]).
-    view_change_votes: HashMap<u64, HashMap<NodeId, ViewChangeVote>>,
+    /// Voters are ordered so the certificate merge is a pure function of
+    /// the ballot, never of the process's hash seed.
+    view_change_votes: HashMap<u64, BTreeMap<NodeId, ViewChangeVote>>,
     /// This replica's own checkpoint announcements:
     /// `sequence → (log_len, state digest)`. Pruned at compaction.
     own_checkpoints: BTreeMap<u64, (u64, Digest)>,
@@ -1959,8 +1961,10 @@ pub(crate) fn replica_on_message(
                         .max()
                         .unwrap_or(0);
                     // Freshest reported certificate per sequence (highest
-                    // view wins; within one view a leader assigns each
-                    // sequence at most once, so ties agree).
+                    // view wins). Within one view an honest leader assigns
+                    // each sequence at most once, so ties agree; an
+                    // equivocating one can break that, and then the lowest
+                    // voter id's certificate wins.
                     let mut certificates: BTreeMap<u64, (u64, Vec<Request>)> = BTreeMap::new();
                     for (_, _, reported) in votes.values() {
                         for (sequence, view, batch) in reported {

@@ -1,7 +1,11 @@
 //! The archived single-group counterexamples, built in code. Their JSON
 //! documents are committed under `tests/fixtures/`; `tests/fleet.rs`
 //! replays the committed files and fails when one is missing, does not
-//! decode or no longer matches what these functions build.
+//! decode or no longer matches what these functions build. The smoke
+//! configurations are shared by the simnet sweep and the recorded-digest
+//! replay test. Each test binary uses a different subset of this module.
+
+#![allow(dead_code)]
 
 use tolerance::consensus::AttackerKind;
 use tolerance::core::simnet::{
@@ -71,4 +75,72 @@ pub fn lying_donor_seed19() -> Counterexample {
                 .into(),
         },
     }
+}
+
+/// The single-group configurations of the simnet smoke sweep.
+pub fn smoke_configs() -> Vec<(&'static str, ScheduleConfig)> {
+    vec![
+        (
+            "light",
+            ScheduleConfig {
+                horizon: 40,
+                intensity: 0.2,
+                ..ScheduleConfig::default()
+            },
+        ),
+        (
+            "heavy",
+            ScheduleConfig {
+                horizon: 40,
+                intensity: 0.8,
+                ..ScheduleConfig::default()
+            },
+        ),
+        (
+            "full-stack",
+            ScheduleConfig {
+                horizon: 40,
+                intensity: 0.5,
+                system_controller: true,
+                ..ScheduleConfig::default()
+            },
+        ),
+        (
+            // The data-plane configuration: leader batching plus an
+            // aggressive checkpoint period, so recovery and view changes
+            // run from *truncated* logs (state transfer from the stable
+            // checkpoint, no re-execution of compacted requests) under the
+            // same chaos schedules and oracles.
+            "gc-batch",
+            ScheduleConfig {
+                horizon: 40,
+                intensity: 0.5,
+                checkpoint_period: 8,
+                batch_size: 4,
+                ..ScheduleConfig::default()
+            },
+        ),
+        (
+            // The PR-6 pipelined data plane: a watermark window above 1
+            // keeps several uncommitted sequences in flight, so view
+            // changes, recoveries and state transfers triggered by the
+            // chaos schedule must cope with multiple concurrently proposed
+            // batches (and the aggressive checkpoint period keeps those
+            // interacting with compaction).
+            "pipelined",
+            ScheduleConfig {
+                horizon: 40,
+                intensity: 0.5,
+                checkpoint_period: 8,
+                batch_size: 4,
+                pipeline_window: 4,
+                ..ScheduleConfig::default()
+            },
+        ),
+    ]
+}
+
+/// The fixed seed set of the smoke suite (the CI job runs exactly this).
+pub fn smoke_seeds() -> Vec<u64> {
+    (0..18).collect()
 }

@@ -11,12 +11,13 @@
 mod common;
 
 use tolerance::consensus::sharded::shard_seed;
+use tolerance::consensus::AttackerKind;
 use tolerance::core::simnet::oracle::{InvariantKind, Violation};
 use tolerance::core::simnet::{
-    find_counterexample, find_sharded_counterexample, fleet_scale_config, load_swing_config,
-    run_sharded_schedule, run_sharded_schedule_with, Counterexample, FaultEvent, FaultSchedule,
-    FleetEngine, ScheduleConfig, ScheduledFault, ShardedCounterexample, ShardedFaultSchedule,
-    ShardedRunReport, ShardedScheduleConfig,
+    adversary_config, find_counterexample, find_sharded_counterexample, fleet_scale_config,
+    load_swing_config, run_sharded_schedule, run_sharded_schedule_with, Counterexample, FaultEvent,
+    FaultSchedule, FleetEngine, NetworkCondition, ScheduleConfig, ScheduledFault,
+    ShardedCounterexample, ShardedFaultSchedule, ShardedRunReport, ShardedScheduleConfig,
 };
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -83,11 +84,13 @@ fn windowed_fleet_scale_replay_is_byte_identical_across_worker_grid() {
 /// driver. The engines must agree on the *whole report* — violation, step
 /// and trace bytes — not merely both fail.
 fn lift_single_group(
-    counterexample: &Counterexample,
+    seed: u64,
+    schedule: &FaultSchedule,
+    base: &ScheduleConfig,
 ) -> (ShardedFaultSchedule, ShardedScheduleConfig) {
     let config = ShardedScheduleConfig {
         shards: 1,
-        base: counterexample.config.clone(),
+        base: base.clone(),
         key_space: 64,
         multi_put_interval: 0,
         multi_put_keys: 2,
@@ -96,8 +99,8 @@ fn lift_single_group(
         autotune: None,
     };
     let schedule = ShardedFaultSchedule {
-        seed: counterexample.seed,
-        shards: vec![counterexample.schedule.clone()],
+        seed,
+        shards: vec![schedule.clone()],
     };
     (schedule, config)
 }
@@ -156,7 +159,11 @@ fn lockstep_and_event_driven_agree_on_archived_counterexamples() {
     let mut checked = 0;
     for name in ARCHIVED {
         let counterexample = read_fixture(name).unwrap_or_else(|e| panic!("{e}"));
-        let (schedule, config) = lift_single_group(&counterexample);
+        let (schedule, config) = lift_single_group(
+            counterexample.seed,
+            &counterexample.schedule,
+            &counterexample.config,
+        );
         // Lifting changes the client driving (routed pool clients instead
         // of the single-group harness's), so the archived violation need
         // not reproduce — the contract under test is that every engine
@@ -165,6 +172,20 @@ fn lockstep_and_event_driven_agree_on_archived_counterexamples() {
         checked += 1;
     }
     assert_eq!(checked, 3);
+}
+
+#[test]
+fn lifted_equivocating_leader_ballots_replay_independently_of_the_hash_seed() {
+    // The one-shard fleet twin of the single-group ballot-order test:
+    // `adversary/equivocating-leader/gst` seed 278 lifted to one shard
+    // replays to the identical report 32 times in one process.
+    let base = adversary_config(AttackerKind::EquivocatingLeader, NetworkCondition::Gst);
+    let (schedule, config) = lift_single_group(278, &FaultSchedule::generate(278, &base), &base);
+    let first = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+    for run in 1..32 {
+        let again = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+        assert_eq!(first, again, "run {run} diverged from run 0");
+    }
 }
 
 #[test]

@@ -21,73 +21,6 @@ use tolerance::core::simnet::{
 };
 use tolerance::emulation::builtin_registry;
 
-/// The fixed seed set of the smoke suite (the CI job runs exactly this).
-fn smoke_seeds() -> Vec<u64> {
-    (0..18).collect()
-}
-
-fn smoke_configs() -> Vec<(&'static str, ScheduleConfig)> {
-    vec![
-        (
-            "light",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.2,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            "heavy",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.8,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            "full-stack",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                system_controller: true,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            // The data-plane configuration: leader batching plus an
-            // aggressive checkpoint period, so recovery and view changes
-            // run from *truncated* logs (state transfer from the stable
-            // checkpoint, no re-execution of compacted requests) under the
-            // same chaos schedules and oracles.
-            "gc-batch",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                checkpoint_period: 8,
-                batch_size: 4,
-                ..ScheduleConfig::default()
-            },
-        ),
-        (
-            // The PR-6 pipelined data plane: a watermark window above 1
-            // keeps several uncommitted sequences in flight, so view
-            // changes, recoveries and state transfers triggered by the
-            // chaos schedule must cope with multiple concurrently proposed
-            // batches (and the aggressive checkpoint period keeps those
-            // interacting with compaction).
-            "pipelined",
-            ScheduleConfig {
-                horizon: 40,
-                intensity: 0.5,
-                checkpoint_period: 8,
-                batch_size: 4,
-                pipeline_window: 4,
-                ..ScheduleConfig::default()
-            },
-        ),
-    ]
-}
-
 /// Writes a counterexample where the CI job picks it up as an artifact.
 fn publish_counterexample(name: &str, counterexample: &Counterexample) {
     let dir = std::path::Path::new("simnet-counterexamples");
@@ -114,8 +47,8 @@ fn randomized_schedules_pass_all_invariant_oracles() {
     // network-accounting checked after every step and liveness at settle.
     let mut kinds: BTreeSet<FaultKind> = BTreeSet::new();
     let mut runs = 0;
-    for (name, config) in smoke_configs() {
-        for seed in smoke_seeds() {
+    for (name, config) in common::smoke_configs() {
+        for seed in common::smoke_seeds() {
             let schedule = FaultSchedule::generate(seed, &config);
             kinds.extend(schedule.kinds());
             let report = run_schedule(&schedule, &config).expect("harness constructs");
@@ -652,6 +585,22 @@ fn adversary_runs_are_deterministic_in_the_seed() {
     let json = serde_json::to_string(&schedule).expect("serializable");
     let value = serde_json::parse_value(&json).expect("well-formed");
     assert_eq!(json, serde_json::to_string(&value).expect("re-renders"));
+}
+
+#[test]
+fn equivocating_leader_ballots_replay_independently_of_the_hash_seed() {
+    // Seed 106 of `adversary/equivocating-leader/gst` ends in a view-change
+    // ballot holding two certificates of one view for the same sequence.
+    // Which one wins must follow from the ballot alone: with voters in a
+    // hash map, the per-process random hash seed picked the winner and
+    // repeated runs in one process disagreed.
+    let config = adversary_config(AttackerKind::EquivocatingLeader, NetworkCondition::Gst);
+    let schedule = FaultSchedule::generate(106, &config);
+    let first = run_schedule(&schedule, &config).expect("harness constructs");
+    for run in 1..32 {
+        let again = run_schedule(&schedule, &config).expect("harness constructs");
+        assert_eq!(first, again, "run {run} diverged from run 0");
+    }
 }
 
 #[test]
