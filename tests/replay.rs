@@ -1,9 +1,18 @@
 //! Deterministic-replay tests of the scenario runtime: the same scenario +
 //! seed must produce identical results whether it runs serially, through
 //! the parallel runner, or twice in a row — and the Table-7 comparison rows
-//! must be byte-identical across execution modes.
+//! must be byte-identical across execution modes. The simulators' reports
+//! are pinned to recorded digests, so a refactor that changes a trace the
+//! same way on every run still fails.
+
+mod common;
 
 use tolerance::core::runtime::{Runner, Scenario, ScenarioRegistry};
+use tolerance::core::simnet::{
+    adversary_config, adversary_matrix, load_swing_config, run_schedule, run_sharded_schedule,
+    sharded_chaos_4_config, sharded_fleet_controlled_config, sharded_multiput_config,
+    FaultSchedule, ShardedFaultSchedule, ShardedScheduleConfig,
+};
 use tolerance::emulation::scenarios::{
     bursty_attacker_config, heterogeneous_nodes_config, register_config,
 };
@@ -120,4 +129,95 @@ fn custom_configs_can_be_registered_alongside_builtins() {
         .unwrap();
     assert_eq!(run.reports.len(), 1);
     assert!(run.label.starts_with("tolerance/"));
+}
+
+/// The recorded digests, one `name digest` line per simulator report.
+const REPORT_DIGESTS: &str = "tests/fixtures/report-digests.txt";
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `name digest` for every pinned report: the simnet smoke configurations
+/// and the adversary matrix on the single-group simulator, and the
+/// registered fleet configurations on the fleet engine.
+fn report_digests() -> Vec<String> {
+    let digest = |json: String| format!("{:016x}", fnv1a(json.as_bytes()));
+    let mut lines = Vec::new();
+    let mut single = common::smoke_configs();
+    let seeds = common::smoke_seeds();
+    for (name, config) in single.drain(..) {
+        for &seed in &seeds {
+            let report = run_schedule(&FaultSchedule::generate(seed, &config), &config)
+                .expect("harness constructs");
+            let json = serde_json::to_string(&report).expect("serializable");
+            lines.push(format!("single/{name}/{seed} {}", digest(json)));
+        }
+    }
+    for (attacker, condition) in adversary_matrix() {
+        let config = adversary_config(attacker, condition);
+        for seed in 0..20u64 {
+            let report = run_schedule(&FaultSchedule::generate(seed, &config), &config)
+                .expect("harness constructs");
+            let json = serde_json::to_string(&report).expect("serializable");
+            let name = format!("{}-{}", attacker.name(), condition.name());
+            lines.push(format!("single/{name}/{seed} {}", digest(json)));
+        }
+    }
+    let fleets = [
+        ("default", ShardedScheduleConfig::default()),
+        ("chaos-4", sharded_chaos_4_config()),
+        ("multiput", sharded_multiput_config()),
+        ("fleet-controlled", sharded_fleet_controlled_config()),
+        ("load-swing", load_swing_config()),
+    ];
+    for (name, config) in fleets {
+        for seed in 0..4u64 {
+            let schedule = ShardedFaultSchedule::generate(seed, &config);
+            let report = run_sharded_schedule(&schedule, &config).expect("harness constructs");
+            let json = serde_json::to_string(&report).expect("serializable");
+            lines.push(format!("fleet/{name}/{seed} {}", digest(json)));
+        }
+    }
+    lines
+}
+
+#[test]
+fn simulator_reports_match_their_recorded_digests() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(REPORT_DIGESTS);
+    let recorded = std::fs::read_to_string(&path).unwrap_or_default();
+    let recorded: Vec<&str> = recorded
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .collect();
+    let measured = report_digests();
+    let changed: Vec<&String> = measured
+        .iter()
+        .filter(|line| !recorded.contains(&line.as_str()))
+        .collect();
+    if changed.is_empty() && recorded.len() == measured.len() {
+        return;
+    }
+    // Leave the rebuilt table where the CI jobs collect artifacts; copying
+    // it over the fixture re-pins it.
+    let dir = std::path::Path::new("simnet-counterexamples");
+    if std::fs::create_dir_all(dir).is_ok() {
+        let header = "# FNV-1a digests of serialized simulator reports (trace, outcome, \
+                      violation).\n# Re-pin only when a change alters simulated behaviour \
+                      on purpose.\n";
+        let _ = std::fs::write(
+            dir.join("report-digests.txt"),
+            format!("{header}{}\n", measured.join("\n")),
+        );
+    }
+    panic!(
+        "{} of {} simulator reports differ from {REPORT_DIGESTS} \
+         (rebuilt: simnet-counterexamples/report-digests.txt): {:#?}",
+        changed.len(),
+        measured.len(),
+        changed.iter().take(10).collect::<Vec<_>>()
+    );
 }
