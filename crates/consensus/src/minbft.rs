@@ -2575,46 +2575,6 @@ impl MinBftCluster {
             .unwrap_or(false)
     }
 
-    /// The view a replica is currently in.
-    pub fn replica_view(&self, replica: NodeId) -> Option<u64> {
-        self.replicas.get(&replica).map(|r| r.view)
-    }
-
-    /// The node a replica currently considers the leader.
-    pub fn leader_of(&self, replica: NodeId) -> Option<NodeId> {
-        self.replicas
-            .get(&replica)
-            .filter(|r| !r.membership.is_empty())
-            .map(|r| r.leader())
-    }
-
-    /// A one-line diagnostic summary of a replica's protocol state (for
-    /// harness debugging output).
-    pub fn debug_replica(&self, replica: NodeId) -> String {
-        let Some(r) = self.replicas.get(&replica) else {
-            return format!("replica {replica}: gone");
-        };
-        format!(
-            "replica {replica}: view {} voted {} min_lead {} epoch {} last_exec {} next_seq {} \
-             stable {} log_start {} pending {} first_seen {} prepared {} vc_votes {:?}",
-            r.view,
-            r.voted_view,
-            r.min_lead_view,
-            r.epoch,
-            r.last_executed,
-            r.next_sequence,
-            r.stable_sequence,
-            r.log_start,
-            r.pending.len(),
-            r.request_first_seen.len(),
-            r.prepared.len(),
-            r.view_change_votes
-                .iter()
-                .map(|(view, votes)| (*view, votes.len()))
-                .collect::<std::collections::BTreeMap<_, _>>(),
-        )
-    }
-
     /// Whether a replica is still waiting for a state transfer after a
     /// recovery or join.
     pub fn needs_state(&self, replica: NodeId) -> bool {

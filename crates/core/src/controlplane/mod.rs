@@ -20,17 +20,16 @@
 //!   [`tolerance_pomdp::IncrementalBelief`]), the k-parallel-recovery
 //!   constraint of Proposition 1, and the Algorithm-2 replication decision,
 //!   all actuated through whichever [`actuator::ClusterActuator`] is
-//!   plugged in. The simnet executor drives the *same* `tick` as the live
-//!   threaded scenario.
+//!   plugged in. The simnet executors drive the *same* tick as the live
+//!   threaded scenario. One plane also steers a sharded fleet: per-shard
+//!   node controllers compete for one **global** recovery budget `k`
+//!   (priority by deciding belief across shards), and one system
+//!   controller evicts crashed replicas wherever they live and allocates
+//!   JOIN spares to the neediest shard.
 //! * [`scenario::ControlledServiceScenario`] — the `controlled/*` registry
 //!   scenarios: a threaded MinBFT service under a scripted intrusion burst
 //!   with the control plane closing the loop live, plus the simnet twin
 //!   that passes the full oracle suite.
-//! * [`fleet::FleetControlPlane`] — the sharded-fleet runtime: per-shard
-//!   node controllers competing for one **global** recovery budget `k`
-//!   (priority by deciding belief across shards), and one system
-//!   controller per fleet evicting crashed replicas wherever they live and
-//!   allocating JOIN spares to the neediest shard.
 //! * [`autotune::AutotuneController`] — the *third* feedback loop, on the
 //!   data plane itself: AIMD on leader batching and client concurrency
 //!   (re-clamped online through the batch-fragmentation floor), retry
@@ -40,7 +39,6 @@
 
 pub mod actuator;
 pub mod autotune;
-pub mod fleet;
 pub mod runtime;
 pub mod scenario;
 
@@ -49,7 +47,6 @@ pub use autotune::{
     Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneLoop,
     AutotuneObservation,
 };
-pub use fleet::{FleetConfig, FleetControlPlane, FleetTickReport};
 pub use runtime::{ControlPlane, ControlPlaneConfig, NodeReport, TickReport};
 pub use scenario::{
     register_controlled_scenarios, run_controlled_service, sim_intrusion_burst_config,

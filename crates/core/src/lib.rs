@@ -35,7 +35,7 @@
 //!   greedy counterexample shrinking and one-command replay — including the
 //!   multi-shard fleet harness ([`simnet::sharded`]) with per-shard chaos
 //!   from split RNG streams, the cross-shard routing/atomicity oracles and
-//!   the fleet control plane ([`controlplane::fleet`]).
+//!   one control plane steering every shard ([`controlplane::ControlPlane`]).
 //! * **Scenario runtime** ([`runtime`]) — the shared experiment engine: a
 //!   [`runtime::Scenario`] abstraction, a parallel [`runtime::Runner`]
 //!   executing seed/parameter grids deterministically, cross-seed
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::controller::{NodeController, SystemController};
     pub use crate::controlplane::{
         ClusterActuator, ControlPlane, ControlPlaneConfig, ControlledServiceConfig,
-        ControlledServiceScenario, FleetConfig, FleetControlPlane, NodeReport,
+        ControlledServiceScenario, NodeReport,
     };
     pub use crate::error::{CoreError, Result};
     pub use crate::metrics::EvaluationMetrics;

@@ -4,34 +4,32 @@
 //! One run wires together the three layers of the reproduction:
 //!
 //! * a [`MinBftCluster`] over the discrete-event network (consensus layer),
-//! * one [`NodeController`] per replica with the BTR threshold strategy of
-//!   Theorem 1 (local control level), fed by alert samples from the paper's
-//!   observation model, and
-//! * optionally the [`SystemController`] of Algorithm 2 (global control
-//!   level), which evicts crashed replicas and grows the membership.
+//! * one [`NodeController`](crate::controller::NodeController) per replica
+//!   with the BTR threshold strategy of Theorem 1 (local control level),
+//!   fed by alert samples from the paper's observation model, and
+//! * optionally the [`SystemController`](crate::controller::SystemController)
+//!   of Algorithm 2 (global control level), which evicts crashed replicas
+//!   and grows the membership.
 //!
 //! The executor applies the schedule's fault events step by step, runs the
 //! invariant oracles after every step, and records a [`TraceRecord`] per
-//! step. Everything — schedule generation, alert sampling, network jitter,
+//! step; all three come from the per-group core it shares with the fleet
+//! engine (`simnet::group`). Its own parts are the client driver (one
+//! closed-loop client plus a burst pool, unrouted) and the run loop.
+//! Everything — schedule generation, alert sampling, network jitter,
 //! controller decisions — is derived from the schedule's seed, so the same
 //! `(seed, config)` pair produces a byte-identical trace on every run,
 //! regardless of how many runs execute in parallel around it.
 
-use crate::controlplane::{ClusterActuator, ControlPlane, ControlPlaneConfig, NodeReport};
 use crate::error::Result;
 use crate::metrics::MetricReport;
-use crate::node_model::{NodeModel, NodeParameters, NodeState};
-use crate::observation::ObservationModel;
 use crate::runtime::AsMetricReport;
-use crate::simnet::adversary;
-use crate::simnet::oracle::{InvariantChecker, InvariantKind, Violation};
-use crate::simnet::schedule::{FaultEvent, FaultSchedule, ScheduleConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::simnet::group::{self, Control, Group};
+use crate::simnet::oracle::{InvariantKind, Violation};
+use crate::simnet::schedule::{FaultSchedule, ScheduleConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use tolerance_consensus::minbft::{MinBftCluster, Operation};
-use tolerance_consensus::{ByzantineMode, NodeId};
+use tolerance_consensus::NodeId;
 
 /// The per-step snapshot that makes up the run's event trace. Two runs are
 /// considered identical exactly when their serialized traces are identical;
@@ -109,32 +107,6 @@ impl AsMetricReport for RunReport {
     }
 }
 
-/// Per-replica supervision state maintained by the harness (the ground
-/// truth of the fault schedule; the belief-tracking controllers live in the
-/// shared [`ControlPlane`]). Shared with the multi-shard harness
-/// (`crate::simnet::sharded`), which keeps one supervisor map per shard.
-pub(crate) struct Supervisor {
-    pub(crate) state: NodeState,
-    pub(crate) compromised_at: Option<u32>,
-    pub(crate) schedule_crashed: bool,
-    /// IDS-signature degradation of the current compromise: `0.0` samples
-    /// the full compromised alert distribution, larger values mix it toward
-    /// healthy (protocol-aware attackers are quieter, see
-    /// [`crate::simnet::adversary::attacker_ids_lambda`]).
-    pub(crate) ids_lambda: f64,
-}
-
-impl Supervisor {
-    pub(crate) fn new() -> Self {
-        Supervisor {
-            state: NodeState::Healthy,
-            compromised_at: None,
-            schedule_crashed: false,
-            ids_lambda: 0.0,
-        }
-    }
-}
-
 /// Executes `schedule` against a freshly built stack configured by `config`.
 ///
 /// # Errors
@@ -146,452 +118,76 @@ pub fn run_schedule(schedule: &FaultSchedule, config: &ScheduleConfig) -> Result
     SimHarness::new(schedule, config)?.run()
 }
 
-/// The harness-side actuator: the shared [`ControlPlane`] actuates through
-/// this view, which adds the fault-schedule bookkeeping (restart-vs-rebuild
-/// choice, recovery-latency accounting, supervisor lifecycle) on top of the
-/// simulated cluster. The multi-shard harness wraps one per shard.
-pub(crate) struct HarnessActuator<'a> {
-    pub(crate) cluster: &'a mut MinBftCluster,
-    pub(crate) supervisors: &'a mut BTreeMap<NodeId, Supervisor>,
-    pub(crate) added_stack: &'a mut Vec<NodeId>,
-    pub(crate) recoveries: &'a mut u64,
-    pub(crate) recovery_delays: &'a mut Vec<u32>,
-    pub(crate) step: u32,
-}
-
-impl HarnessActuator<'_> {
-    pub(crate) fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.cluster.membership().contains(&node) {
-            return false;
-        }
-        // Fail-stop crashes restart with their state intact; everything
-        // else (compromise, Byzantine behaviour, BTR refresh) is the full
-        // rebuild + state transfer.
-        let crashed_only = self
-            .supervisors
-            .get(&node)
-            .map(|s| s.schedule_crashed && s.state == NodeState::Crashed)
-            .unwrap_or(false);
-        let recovered = if crashed_only {
-            self.cluster.restart_replica(node);
-            true
-        } else {
-            self.cluster.recover_replica(node)
-        };
-        if !recovered {
-            // Deferred: no state donor existed. The supervisor stays marked
-            // (compromised/crashed), so the next BTR tick or schedule event
-            // retries and the recovery-bound oracle keeps watching.
-            return false;
-        }
-        *self.recoveries += 1;
-        if let Some(supervisor) = self.supervisors.get_mut(&node) {
-            supervisor.state = NodeState::Healthy;
-            supervisor.schedule_crashed = false;
-            supervisor.ids_lambda = 0.0;
-            if let Some(at) = supervisor.compromised_at.take() {
-                self.recovery_delays.push(self.step.saturating_sub(at));
-            }
-        }
-        true
-    }
-}
-
-impl ClusterActuator for HarnessActuator<'_> {
-    fn replica_count(&self) -> usize {
-        self.cluster.num_replicas()
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        self.cluster.membership().contains(&node)
-    }
-
-    fn recover(&mut self, node: NodeId) -> bool {
-        self.recover_node(node)
-    }
-
-    fn join(&mut self) -> Option<NodeId> {
-        let id = self.cluster.add_replica();
-        self.supervisors.insert(id, Supervisor::new());
-        self.added_stack.push(id);
-        Some(id)
-    }
-
-    fn evict(&mut self, node: NodeId) -> bool {
-        if !self.cluster.membership().contains(&node) {
-            return false;
-        }
-        self.cluster.evict_replica(node);
-        self.supervisors.remove(&node);
-        self.added_stack.retain(|&n| n != node);
-        true
-    }
-}
-
 struct SimHarness<'a> {
     schedule: &'a FaultSchedule,
     config: &'a ScheduleConfig,
     cluster: MinBftCluster,
-    supervisors: BTreeMap<NodeId, Supervisor>,
-    controlplane: ControlPlane,
-    alert_model: ObservationModel,
-    /// Per-λ degraded alert models (see [`adversary::degraded_model_table`]).
-    degraded_models: Vec<(u64, ObservationModel)>,
-    rng: StdRng,
-    checker: InvariantChecker,
-    clients: Vec<NodeId>,
-    /// Step at which each client's currently outstanding request was
-    /// submitted (entries are pruned once the request completes) — the
-    /// bookkeeping of the liveness-after-GST oracle.
-    outstanding_since: BTreeMap<NodeId, u32>,
-    pending_bursts: u32,
-    added_stack: Vec<NodeId>,
-    issued: u64,
-    recoveries: u64,
-    recovery_delays: Vec<u32>,
-    trace: Vec<TraceRecord>,
+    group: Group,
+    control: Control,
 }
 
 impl<'a> SimHarness<'a> {
     fn new(schedule: &'a FaultSchedule, config: &'a ScheduleConfig) -> Result<Self> {
-        let cluster = MinBftCluster::new(config.minbft_config(schedule.seed));
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model.clone())?;
-        let controlplane = ControlPlane::with_model(
-            ControlPlaneConfig {
-                recovery_threshold: config.recovery_threshold,
-                delta_r: Some(config.delta_r),
-                parallel_recoveries: config.parallel_recoveries,
-                system_controller: config.system_controller,
-                min_replicas: 4,
-                max_replicas: config.max_replicas,
-                fault_threshold: config.fault_threshold().max(1),
-                availability_target: 0.9,
-                node_survival_probability: 0.95,
-            },
-            node_model,
-        )?;
-        let degraded_models = adversary::degraded_model_table(&alert_model)?;
-        let mut harness = SimHarness {
+        let mut cluster = MinBftCluster::new(config.minbft_config(schedule.seed));
+        // One primary closed-loop client plus a small pool for bursts.
+        let clients = (0..4).map(|_| cluster.add_client()).collect();
+        Ok(SimHarness {
             schedule,
             config,
             cluster,
-            supervisors: BTreeMap::new(),
-            controlplane,
-            alert_model,
-            degraded_models,
-            rng: StdRng::seed_from_u64(schedule.seed ^ 0x51e7_c0de_0bad_cafe),
-            checker: InvariantChecker::new(),
-            clients: Vec::new(),
-            outstanding_since: BTreeMap::new(),
-            pending_bursts: 0,
-            added_stack: Vec::new(),
-            issued: 0,
-            recoveries: 0,
-            recovery_delays: Vec::new(),
-            trace: Vec::new(),
-        };
-        for id in 0..config.initial_replicas as NodeId {
-            harness.supervisors.insert(id, Supervisor::new());
-        }
-        // One primary closed-loop client plus a small pool for bursts.
-        for _ in 0..4 {
-            let id = harness.cluster.add_client();
-            harness.clients.push(id);
-        }
-        Ok(harness)
+            group: Group::new(config.initial_replicas, clients),
+            control: Control::new(schedule.seed, config, 1)?,
+        })
     }
 
     fn submit(&mut self, client: NodeId, operation: Operation, step: u32) {
-        let request = self.cluster.submit(client, operation);
-        self.checker.record_submission(request.digest());
-        self.issued += 1;
-        // Clients submit at most one request at a time, so per-client
-        // tracking of the submission step is exact.
-        self.outstanding_since.insert(client, step);
+        self.group
+            .submit(&mut self.cluster, client, operation, step);
     }
 
-    fn recover_node(&mut self, node: NodeId, step: u32) {
-        let mut actuator = HarnessActuator {
-            cluster: &mut self.cluster,
-            supervisors: &mut self.supervisors,
-            added_stack: &mut self.added_stack,
-            recoveries: &mut self.recoveries,
-            recovery_delays: &mut self.recovery_delays,
-            step,
-        };
-        if actuator.recover_node(node) {
-            // Schedule-driven recoveries reset the node controller too
-            // (tick-driven ones are reset inside `ControlPlane::tick`; the
-            // reset is idempotent).
-            self.controlplane.controller(node).notify_recovered();
-        }
-    }
-
-    fn apply_event(&mut self, event: &FaultEvent, step: u32) -> Result<()> {
-        match event {
-            FaultEvent::Partition { group_a, group_b } => {
-                self.cluster.partition_network(group_a, group_b);
-            }
-            FaultEvent::Heal => self.cluster.heal_network(),
-            FaultEvent::LossStorm { loss_rate } => {
-                // Storms perturb the *ambient* profile of the step (the
-                // asynchronous profile before GST), and RestoreNetwork
-                // restores it, so a storm never ends the pre-GST phase.
-                let mut network = self.config.ambient_network(step);
-                network.loss_rate = network.loss_rate.max(*loss_rate);
-                self.cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::DelayStorm { latency, jitter } => {
-                let mut network = self.config.ambient_network(step);
-                network.latency = network.latency.max(*latency);
-                network.jitter = network.jitter.max(*jitter);
-                self.cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::RestoreNetwork => {
-                self.cluster
-                    .set_network_config(self.config.ambient_network(step));
-            }
-            FaultEvent::CrashReplica { node } => {
-                if self.cluster.membership().contains(node) {
-                    self.cluster.crash_replica(*node);
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.schedule_crashed = true;
-                        supervisor.state = NodeState::Crashed;
-                    }
-                }
-            }
-            FaultEvent::RecoverReplica { node } => self.recover_node(*node, step),
-            FaultEvent::ByzantineFlip { node, mode } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_byzantine(*node, *mode);
-                    // A flipped replica perturbs the IDS observation stream
-                    // too (with a heavily degraded signature) — it is
-                    // misbehaving, not invisible.
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::BYZANTINE_FLIP_IDS_LAMBDA;
-                    }
-                }
-            }
-            FaultEvent::IntrusionBurst { node, mode } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_byzantine(*node, *mode);
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        // A full compromise has the loudest signature.
-                        supervisor.ids_lambda = 0.0;
-                    }
-                }
-            }
-            FaultEvent::AdoptAttacker { node, attacker } => {
-                if self.cluster.membership().contains(node) && !self.cluster.is_crashed(*node) {
-                    self.cluster.set_attacker(*node, Some(*attacker));
-                    if let Some(supervisor) = self.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::attacker_ids_lambda(*attacker);
-                    }
-                }
-            }
-            FaultEvent::AddReplica => {
-                if self.cluster.num_replicas() < self.config.max_replicas {
-                    let id = self.cluster.add_replica();
-                    self.supervisors.insert(id, Supervisor::new());
-                    self.added_stack.push(id);
-                }
-            }
-            FaultEvent::EvictReplica { node } => {
-                let target = node.or_else(|| self.added_stack.pop());
-                if let Some(target) = target {
-                    if self.cluster.membership().contains(&target)
-                        && self.cluster.num_replicas() > 3
-                    {
-                        self.cluster.evict_replica(target);
-                        self.supervisors.remove(&target);
-                        self.controlplane.forget(target);
-                    }
-                }
-            }
-            FaultEvent::ClientBurst { requests } => {
-                self.pending_bursts += requests;
-            }
-            FaultEvent::InjectDoubleCommit { node } => {
-                self.cluster.inject_double_commit(*node);
-            }
-        }
-        Ok(())
-    }
-
-    /// One control tick of both levels, delegated to the shared
-    /// [`ControlPlane`] — the *same* runtime the live threaded scenarios
-    /// drive. The harness contributes the deterministic IDS sampling (one
-    /// weighted-alert draw per reporting replica, in membership order) and
-    /// the ground-truth crash/compromise state; the plane contributes
-    /// belief tracking, the k-parallel-recovery constraint and the
-    /// Algorithm-2 replication decision, actuated through
-    /// [`HarnessActuator`].
+    /// Drains the control-plane effects of applied events, then runs one
+    /// control tick of both levels.
     fn control_tick(&mut self, step: u32) {
-        let membership: Vec<NodeId> = self.cluster.membership().to_vec();
-        let mut observations: Vec<(NodeId, NodeReport<'_>)> = Vec::with_capacity(membership.len());
-        for &id in &membership {
-            let report = match self.supervisors.get(&id) {
-                None => NodeReport::Silent,
-                Some(supervisor) if supervisor.schedule_crashed => NodeReport::Silent,
-                Some(supervisor) => {
-                    let sample_state = match supervisor.state {
-                        NodeState::Compromised => NodeState::Compromised,
-                        _ => NodeState::Healthy,
-                    };
-                    // Protocol-aware attackers sample from a degraded
-                    // compromise signature (the λ set by their event). The
-                    // model choice never changes how many RNG draws happen,
-                    // so schedules that never set a λ keep byte-identical
-                    // traces.
-                    let model = adversary::degraded_model(
-                        &self.degraded_models,
-                        &self.alert_model,
-                        supervisor.ids_lambda,
-                    );
-                    NodeReport::Sample(model.sample(sample_state, &mut self.rng))
-                }
-            };
-            observations.push((id, report));
-        }
-        let mut actuator = HarnessActuator {
-            cluster: &mut self.cluster,
-            supervisors: &mut self.supervisors,
-            added_stack: &mut self.added_stack,
-            recoveries: &mut self.recoveries,
-            recovery_delays: &mut self.recovery_delays,
-            step,
-        };
-        self.controlplane
-            .tick(&observations, &mut actuator, &mut self.rng);
+        self.control.drain_notes(0, &mut self.group);
+        self.control
+            .tick(&mut [(&mut self.cluster, &mut self.group)], step);
     }
 
     fn drive_clients(&mut self, step: u32) {
-        let primary = self.clients[0];
+        let primary = self.group.clients[0];
         if !self.cluster.has_outstanding_request(primary) {
             self.submit(primary, Operation::Write(u64::from(step) + 1), step);
         }
-        let burst_pool: Vec<NodeId> = self.clients[1..].to_vec();
-        for client in burst_pool {
-            if self.pending_bursts == 0 {
+        for index in 1..self.group.clients.len() {
+            if self.group.pending_bursts == 0 {
                 break;
             }
+            let client = self.group.clients[index];
             if !self.cluster.has_outstanding_request(client) {
-                self.pending_bursts -= 1;
-                self.submit(
-                    client,
-                    Operation::Write(
-                        0x1000_0000 + u64::from(step) * 16 + u64::from(self.pending_bursts),
-                    ),
-                    step,
-                );
+                self.group.pending_bursts -= 1;
+                let value =
+                    0x1000_0000 + u64::from(step) * 16 + u64::from(self.group.pending_bursts);
+                self.submit(client, Operation::Write(value), step);
             }
         }
-    }
-
-    fn completed_total(&self) -> u64 {
-        self.clients
-            .iter()
-            .map(|&c| self.cluster.completed_requests(c))
-            .sum()
     }
 
     fn check_invariants(&mut self, step: u32) -> Option<Violation> {
-        if let Some(violation) = self.checker.check_logs(&self.cluster, step) {
-            return Some(violation);
-        }
-        if let Some(violation) = self.checker.check_network(&self.cluster, step) {
-            return Some(violation);
-        }
-        // Recovery bound: Δ_R steps of BTR slack plus the queueing delay of
-        // the k-parallel-recovery constraint.
-        let bound = self.config.delta_r + self.config.initial_replicas as u32 + 1;
-        for (&id, supervisor) in &self.supervisors {
-            if let Some(at) = supervisor.compromised_at {
-                if step.saturating_sub(at) > bound {
-                    return Some(Violation {
-                        kind: InvariantKind::RecoveryBound,
-                        step,
-                        detail: format!(
-                            "replica {id} compromised at step {at} still unrecovered at step \
-                             {step} (bound {bound})"
-                        ),
-                    });
-                }
-            }
-        }
-        // Liveness after GST: under partial synchrony, every request
-        // submitted before the network stabilized must complete within the
-        // bounded post-GST window.
-        let cluster = &self.cluster;
-        self.outstanding_since
-            .retain(|&client, _| cluster.has_outstanding_request(client));
-        if let Some(gst) = self.config.gst {
-            if step >= gst && step - gst > self.config.post_gst_liveness_steps {
-                for (&client, &since) in &self.outstanding_since {
-                    if since < gst {
-                        return Some(Violation {
-                            kind: InvariantKind::LivenessAfterGst,
-                            step,
-                            detail: format!(
-                                "client {client}'s request from step {since} (before GST at \
-                                 step {gst}) still uncommitted {} steps after stabilization \
-                                 (bound {})",
-                                step - gst,
-                                self.config.post_gst_liveness_steps
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        None
+        let (cluster, config) = (&self.cluster, self.config);
+        self.group
+            .check_safety(cluster, config, 1, step)
+            .or_else(|| self.group.check_liveness_after_gst(cluster, config, step))
     }
 
-    fn push_trace(&mut self, step: u32) {
-        let faulty: Vec<NodeId> = self
-            .supervisors
-            .iter()
-            .filter(|(_, s)| s.schedule_crashed || s.state != NodeState::Healthy)
-            .map(|(&id, _)| id)
-            .collect();
-        self.trace.push(TraceRecord {
-            step,
-            time_bits: self.cluster.now().to_bits(),
-            membership: self.cluster.membership().to_vec(),
-            commits: self.cluster.commit_trace().len() as u64,
-            view_changes: self.cluster.view_changes(),
-            completed: self.completed_total(),
-            net_sent: self.cluster.network_stats().sent,
-            faulty,
-        });
-    }
-
-    /// Re-triggers state transfer for replicas whose transfer was lost to a
-    /// storm or partition and for replicas whose log lags behind (in-flight
-    /// quorums they missed cannot be replayed; recovery is how the
-    /// architecture catches such replicas up, cf. the BTR constraint).
-    fn catch_up_stragglers(&mut self) {
-        let members: Vec<NodeId> = self.cluster.membership().to_vec();
-        let longest = members
-            .iter()
-            .filter_map(|&id| self.cluster.executed_len(id))
-            .max()
-            .unwrap_or(0);
-        for id in members {
-            let lagging = self
-                .cluster
-                .executed_len(id)
-                .map(|len| len + 2 < longest)
-                .unwrap_or(false);
-            if self.cluster.needs_state(id) || lagging {
-                self.cluster.recover_replica(id);
+    /// Runs the settle window until no client waits (at least `min_rounds`
+    /// rounds, at most ten), nudging stragglers after each.
+    fn drain(&mut self, min_rounds: u32) {
+        let settle_window = 5.0_f64.max(self.config.step_duration * 4.0);
+        for round in 0..10 {
+            self.cluster.run_until(self.cluster.now() + settle_window);
+            group::catch_up_stragglers(&mut self.cluster);
+            if round + 1 >= min_rounds && self.group.outstanding_clients(&self.cluster).is_empty() {
+                break;
             }
         }
     }
@@ -601,63 +197,12 @@ impl<'a> SimHarness<'a> {
     /// complete and the logs must be consistent). This is the operational
     /// form of the eventual-service-liveness guarantee.
     fn settle(&mut self) -> Option<Violation> {
-        self.cluster.heal_network();
-        self.cluster.set_network_config(self.config.network);
-        let members: Vec<NodeId> = self.cluster.membership().to_vec();
-        for id in members {
-            let marked = self
-                .supervisors
-                .get(&id)
-                .map(|s| s.schedule_crashed || s.state != NodeState::Healthy)
-                .unwrap_or(false);
-            if marked
-                || self.cluster.byzantine_mode(id) != Some(ByzantineMode::Correct)
-                || self.cluster.is_crashed(id)
-            {
-                self.recover_node(id, self.config.horizon);
-            }
-        }
-        let settle_window = 5.0_f64.max(self.config.step_duration * 4.0);
-        for round in 0..10 {
-            self.cluster.run_until(self.cluster.now() + settle_window);
-            self.catch_up_stragglers();
-            if std::env::var_os("SIMNET_DEBUG").is_some() {
-                for &id in &self.cluster.membership().to_vec() {
-                    eprintln!(
-                        "  settle round {round} replica {id}: view {:?} leader {:?} len {} \
-                         crashed {} needs_state {} byz {:?}",
-                        self.cluster.replica_view(id),
-                        self.cluster.leader_of(id),
-                        self.cluster.executed_len(id).unwrap_or(0),
-                        self.cluster.is_crashed(id),
-                        self.cluster.needs_state(id),
-                        self.cluster.byzantine_mode(id),
-                    );
-                }
-                for &id in &self.cluster.membership().to_vec() {
-                    eprintln!("    {}", self.cluster.debug_replica(id));
-                }
-                let outstanding: Vec<_> = self
-                    .clients
-                    .iter()
-                    .filter(|&&c| self.cluster.has_outstanding_request(c))
-                    .collect();
-                eprintln!("  settle round {round}: outstanding {outstanding:?}");
-            }
-            let outstanding = self
-                .clients
-                .iter()
-                .any(|&c| self.cluster.has_outstanding_request(c));
-            if !outstanding && round > 0 {
-                break;
-            }
-        }
-        let outstanding: Vec<NodeId> = self
-            .clients
-            .iter()
-            .copied()
-            .filter(|&c| self.cluster.has_outstanding_request(c))
-            .collect();
+        let horizon = self.config.horizon;
+        group::stabilize(&mut self.cluster, self.config);
+        self.group.recover_marked(&mut self.cluster, horizon);
+        self.control.drain_notes(0, &mut self.group);
+        self.drain(2);
+        let outstanding = self.group.outstanding_clients(&self.cluster);
         if !outstanding.is_empty() {
             return Some(Violation {
                 kind: InvariantKind::Liveness,
@@ -669,15 +214,9 @@ impl<'a> SimHarness<'a> {
             });
         }
         // Probe: a fresh request must complete now that faults are ≤ f.
-        let primary = self.clients[0];
-        self.submit(primary, Operation::Write(0xdead_beef), self.config.horizon);
-        for _ in 0..10 {
-            self.cluster.run_until(self.cluster.now() + settle_window);
-            self.catch_up_stragglers();
-            if !self.cluster.has_outstanding_request(primary) {
-                break;
-            }
-        }
+        let primary = self.group.clients[0];
+        self.submit(primary, Operation::Write(0xdead_beef), horizon);
+        self.drain(1);
         if self.cluster.has_outstanding_request(primary) {
             return Some(Violation {
                 kind: InvariantKind::Liveness,
@@ -685,7 +224,7 @@ impl<'a> SimHarness<'a> {
                 detail: "the settle-phase probe request never completed".into(),
             });
         }
-        if let Some(violation) = self.check_invariants(self.config.horizon) {
+        if let Some(violation) = self.check_invariants(horizon) {
             return Some(violation);
         }
         if !self.cluster.logs_are_consistent() {
@@ -700,7 +239,6 @@ impl<'a> SimHarness<'a> {
 
     fn run(mut self) -> Result<RunReport> {
         let mut violation: Option<Violation> = None;
-        let mut events = self.schedule.events.iter().peekable();
         let mut steps_run: u64 = 0;
         // A GST schedule starts in the asynchronous phase.
         self.cluster
@@ -708,85 +246,33 @@ impl<'a> SimHarness<'a> {
         for step in 0..self.config.horizon {
             steps_run = u64::from(step) + 1;
             if self.config.gst == Some(step) {
-                // Global stabilization: partitions heal and the bounded
-                // delay profile holds from here on (the generator draws no
-                // network faults past this step).
-                self.cluster.heal_network();
-                self.cluster.set_network_config(self.config.network);
+                // Global stabilization (the generator draws no network
+                // faults past this step).
+                group::stabilize(&mut self.cluster, self.config);
             }
-            while let Some(fault) = events.peek() {
-                if fault.step > step {
-                    break;
-                }
-                let fault = events.next().expect("peeked");
-                self.apply_event(&fault.event, step)?;
-            }
+            self.group.apply_due_events(
+                &mut self.cluster,
+                self.config,
+                &self.schedule.events,
+                step,
+            );
             self.control_tick(step);
             self.drive_clients(step);
             self.cluster
                 .run_until(f64::from(step + 1) * self.config.step_duration);
             violation = self.check_invariants(step);
-            if std::env::var_os("SIMNET_DEBUG").is_some() {
-                let members: Vec<NodeId> = self.cluster.membership().to_vec();
-                for &id in &members {
-                    let log = self.cluster.executed_log(id).unwrap_or(&[]);
-                    let tail: Vec<u64> = log.iter().rev().take(3).map(|d| d.0 % 1000).collect();
-                    eprintln!(
-                        "  step {step} replica {id}: len {} tail {:?} crashed {} needs_state {}",
-                        self.cluster.executed_len(id).unwrap_or(0),
-                        tail,
-                        self.cluster.is_crashed(id),
-                        self.cluster.needs_state(id),
-                    );
-                }
-                if violation.is_some() {
-                    for r in self.cluster.commit_trace() {
-                        eprintln!(
-                            "  commit: replica {} view {} seq {} digest {}",
-                            r.replica,
-                            r.view,
-                            r.sequence,
-                            r.digest.0 % 100000
-                        );
-                    }
-                }
-            }
-            self.push_trace(step);
+            self.group.push_trace(&self.cluster, step);
             if violation.is_some() {
                 break;
             }
         }
         if violation.is_none() {
             violation = self.settle();
-            self.push_trace(self.config.horizon);
+            self.group.push_trace(&self.cluster, self.config.horizon);
         }
-        let completed = self.completed_total();
-        let mean_recovery_steps = if self.recovery_delays.is_empty() {
-            0.0
-        } else {
-            self.recovery_delays
-                .iter()
-                .map(|&d| f64::from(d))
-                .sum::<f64>()
-                / self.recovery_delays.len() as f64
-        };
         Ok(RunReport {
-            outcome: SimnetOutcome {
-                // The steps actually executed (a violation stops the run
-                // early, and the recovery-frequency metric divides by this).
-                steps: steps_run,
-                issued: self.issued,
-                completed,
-                recoveries: self.recoveries,
-                mean_recovery_steps,
-                committed_sequences: InvariantChecker::committed_sequences(&self.cluster),
-                availability: if self.issued == 0 {
-                    1.0
-                } else {
-                    completed as f64 / self.issued as f64
-                },
-            },
-            trace: self.trace,
+            outcome: group::outcome(steps_run, std::iter::once((&self.cluster, &self.group))),
+            trace: self.group.trace,
             violation,
         })
     }

@@ -13,21 +13,28 @@
 //!    seed and a [`ScheduleConfig`] (same seed → same schedule).
 //! 2. [`executor`] — [`run_schedule`] executes it against a freshly built
 //!    stack and records a byte-exact [`TraceRecord`] stream (same seed →
-//!    byte-identical trace, regardless of surrounding parallelism).
+//!    byte-identical trace, regardless of surrounding parallelism). It and
+//!    the fleet engine ([`sharded`]) share one per-group core (`group`):
+//!    fault application, the per-group oracles, the trace record,
+//!    straggler catch-up, the settle-phase recovery pass, IDS sampling and
+//!    the control tick. Each simulator keeps only its own client driver
+//!    and run loop.
 //! 3. [`oracle`] — agreement, validity, recovery-bound, network-accounting
 //!    and (in the settle phase) liveness checks.
-//! 4. [`shrink`] — on violation, greedy drop-one-event minimization emits a
-//!    replayable [`Counterexample`] (seed + schedule JSON).
+//! 4. [`shrink`] — on violation, greedy drop-one-event minimization (one
+//!    loop for both simulators) emits a replayable [`Counterexample`]
+//!    (seed + schedule JSON).
 //! 5. [`scenario`] — [`register_simnet_scenarios`] plugs the harness into
 //!    the PR-1 [`ScenarioRegistry`](crate::runtime::ScenarioRegistry), so
 //!    experiment sweeps treat fault intensity like any other grid axis.
 //! 6. [`sharded`] — the fleet-scale simulation engine: per-shard chaos
 //!    from split RNG streams of one seed, each shard an event-driven
 //!    sub-executor free-running between deterministic fleet barriers on
-//!    the persistent worker pool, the fleet control plane with its global
-//!    recovery budget, cross-shard MultiPut chaos, and the routing and
-//!    atomicity oracles on top of the per-shard suite (`sharded/*` and
-//!    `fleet/scale-*` scenarios, [`ShardedCounterexample`] shrinking).
+//!    the persistent worker pool, one control plane over every shard with
+//!    its global recovery budget, cross-shard MultiPut chaos, and the
+//!    routing and atomicity oracles on top of the per-shard suite
+//!    (`sharded/*` and `fleet/scale-*` scenarios, [`ShardedCounterexample`]
+//!    shrinking).
 //!    Traces are byte-identical across engines and worker counts.
 //! 7. [`adversary`] — the adversary zoo: protocol-aware attacker replicas
 //!    ([`FaultEvent::AdoptAttacker`]) crossed with network conditions
@@ -39,6 +46,7 @@
 
 pub mod adversary;
 pub mod executor;
+mod group;
 pub mod oracle;
 pub mod scenario;
 pub mod schedule;

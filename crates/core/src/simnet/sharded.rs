@@ -10,9 +10,10 @@
 //!   same split streams, so every shard sees its own partitions, storms,
 //!   crashes, intrusion bursts and churn while the whole fleet stays a
 //!   pure function of `(seed, config)`;
-//! * the [`FleetControlPlane`] — per-shard node controllers competing for
-//!   one **global** recovery budget `k`, plus (optionally) one system
-//!   controller per fleet;
+//! * one [`ControlPlane`](crate::controlplane::ControlPlane) over every
+//!   shard — per-shard node controllers competing for one **global**
+//!   recovery budget `k`, plus (optionally) one system controller per
+//!   fleet;
 //! * a routed client workload — either the closed-loop driver (one keyed
 //!   request per shard per step) or, with
 //!   [`ShardedScheduleConfig::workload`], a seeded **open-loop trace
@@ -23,6 +24,12 @@
 //! * the full oracle suite per shard (agreement, validity, recovery bound,
 //!   network accounting, settle-phase liveness) **plus** the fleet-level
 //!   [`RoutingChecker`] and an **atomicity** check over every MultiPut.
+//!
+//! Each shard's ground truth, fault application, per-group oracles, trace
+//! records and settle-phase recovery are the per-group core
+//! (`simnet::group`) the single-group executor runs too; this
+//! module adds the routed client drivers, the MultiPut driver, the
+//! fleet-level oracles and the barrier scheduler below.
 //!
 //! # The event-driven scheduler
 //!
@@ -64,30 +71,23 @@
 use crate::controlplane::autotune::{
     Admission, AutotuneConfig, AutotuneController, AutotuneDecision, AutotuneObservation,
 };
-use crate::controlplane::fleet::{FleetConfig, FleetControlPlane};
-use crate::controlplane::{ClusterActuator, NodeReport};
 use crate::error::{CoreError, Result};
 use crate::metrics::MetricReport;
-use crate::node_model::{NodeModel, NodeParameters, NodeState};
-use crate::observation::ObservationModel;
 use crate::runtime::{AsMetricReport, MetricScenario, Scenario, ScenarioRegistry, WorkerPool};
-use crate::simnet::adversary;
-use crate::simnet::executor::{HarnessActuator, SimnetOutcome, Supervisor, TraceRecord};
-use crate::simnet::oracle::{InvariantChecker, InvariantKind, RoutingChecker, Violation};
-use crate::simnet::schedule::{FaultEvent, FaultSchedule, ScheduleConfig, ScheduledFault};
-use crate::simnet::shrink::decode;
+use crate::simnet::executor::{SimnetOutcome, TraceRecord};
+use crate::simnet::group::{self, Control, Group};
+use crate::simnet::oracle::{InvariantKind, RoutingChecker, Violation};
+use crate::simnet::schedule::{FaultSchedule, ScheduleConfig, ScheduledFault};
+use crate::simnet::shrink::{decode, shrink_events};
 use crate::simnet::workload::{TraceWorkload, TraceWorkloadConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
 use tolerance_consensus::crypto::Digest;
 use tolerance_consensus::metrics::LatencyHistogram;
 use tolerance_consensus::minbft::{MinBftCluster, Operation};
 use tolerance_consensus::sharded::{
     shard_seed, KeyPartitioner, ShardedSimConfig, ShardedSimService,
 };
-use tolerance_consensus::{ByzantineMode, NodeId};
+use tolerance_consensus::NodeId;
 
 /// Configuration of a multi-shard run: the per-shard chaos/cluster knobs
 /// plus the fleet-level routing and MultiPut workload.
@@ -142,23 +142,6 @@ impl Default for ShardedScheduleConfig {
             fleet_tick_interval: 1,
             workload: None,
             autotune: None,
-        }
-    }
-}
-
-impl ShardedScheduleConfig {
-    fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
-            recovery_threshold: self.base.recovery_threshold,
-            delta_r: Some(self.base.delta_r),
-            parallel_recoveries: self.base.parallel_recoveries,
-            system_controller: self.base.system_controller,
-            min_replicas_per_shard: 4,
-            max_replicas_per_shard: self.base.max_replicas,
-            max_total_replicas: self.base.max_replicas * self.shards.max(1),
-            fault_threshold: self.base.fault_threshold().max(1),
-            availability_target: 0.9,
-            node_survival_probability: 0.95,
         }
     }
 }
@@ -334,53 +317,25 @@ struct MultiPutTx {
     ops: Vec<(Operation, usize, NodeId, OpState)>,
 }
 
-/// A control-plane side effect raised inside a parallel per-shard phase,
-/// buffered and drained shard-major at the next barrier (the
-/// [`FleetControlPlane`] must only ever be touched serially).
-enum PlaneNote {
-    /// A replica recovered on schedule; its controller resets.
-    Recovered(NodeId),
-    /// A replica was evicted; its controller is dropped.
-    Forget(NodeId),
-}
-
 /// One shard's sub-executor state: everything a shard mutates while
 /// free-running between barriers lives here (or in its
 /// [`MinBftCluster`]) — nothing else, which is what makes the parallel
-/// phases deterministic.
+/// phases deterministic. The group's ground truth is the per-group core
+/// shared with the single-group executor; the rest is the routed client
+/// driver's.
 struct ShardState {
-    supervisors: BTreeMap<NodeId, Supervisor>,
-    checker: InvariantChecker,
-    added_stack: Vec<NodeId>,
-    recoveries: u64,
-    recovery_delays: Vec<u32>,
-    pending_bursts: u32,
+    group: Group,
     owned_keys: Vec<u32>,
     /// The shard's general routed client pool (fixed at construction; the
     /// free-client scan runs over it in pool order).
     pool: Vec<NodeId>,
-    /// Every client whose completions this shard contributes (general pool
-    /// plus transaction clients created on it).
-    clients: Vec<NodeId>,
-    /// Step at which each client's currently outstanding request was
-    /// submitted (pruned on completion) — the per-shard bookkeeping of the
-    /// liveness-after-GST oracle.
-    outstanding_since: BTreeMap<NodeId, u32>,
-    /// Cursor into the shard's fault schedule (events are step-sorted).
-    cursor: usize,
     /// Routed submissions made inside a parallel phase; merged into the
     /// fleet [`RoutingChecker`] shard-major at the next barrier.
     routing_pending: Vec<Digest>,
-    /// Control-plane effects raised inside a parallel phase.
-    plane_notes: Vec<PlaneNote>,
     /// The earliest local oracle violation of the current free-run window:
     /// `(step, kind-rank, violation)` with rank 0 = pre-barrier oracles
     /// (logs / network / recovery bound) and rank 1 = GST liveness.
     window_violation: Option<(u32, u8, Violation)>,
-    /// Requests this shard issued from parallel phases.
-    issued: u64,
-    /// The shard's slice of the fleet trace.
-    trace: Vec<TraceRecord>,
     /// The seeded open-loop workload generator, when configured.
     workload: Option<TraceWorkload>,
     /// The shard's data-plane autotune controller, when configured.
@@ -401,17 +356,11 @@ struct ShardedHarness<'a> {
     config: &'a ShardedScheduleConfig,
     service: ShardedSimService,
     states: Vec<ShardState>,
-    plane: FleetControlPlane,
-    alert_model: ObservationModel,
-    /// Per-λ degraded alert models (see [`adversary::degraded_model_table`]).
-    degraded_models: Vec<(u64, ObservationModel)>,
-    rng: StdRng,
+    /// The control plane over every shard (touched serially only).
+    control: Control,
     routing: RoutingChecker,
     transactions: Vec<MultiPutTx>,
     next_tx: u64,
-    /// Requests issued from serial (barrier/settle) phases; the fleet
-    /// total adds every shard's own counter.
-    issued: u64,
     /// The step currently executing (the horizon during the settle phase);
     /// serial submission helpers stamp `outstanding_since` with it.
     current_step: u32,
@@ -424,16 +373,9 @@ impl<'a> ShardedHarness<'a> {
             cluster: config.base.minbft_config(schedule.seed),
             clients_per_shard: 4,
         });
-        let alert_model = ObservationModel::paper_default();
-        let node_model = NodeModel::new(NodeParameters::default(), alert_model.clone())?;
-        let plane = FleetControlPlane::with_model(config.fleet_config(), node_model)?;
         let partitioner = *service.partitioner();
         let states: Vec<ShardState> = (0..service.num_shards())
             .map(|shard| {
-                let mut supervisors = BTreeMap::new();
-                for id in 0..config.base.initial_replicas as NodeId {
-                    supervisors.insert(id, Supervisor::new());
-                }
                 let owned_keys = partitioner.owned_keys(shard, config.key_space.max(1));
                 let workload = config.workload.as_ref().map(|workload_config| {
                     TraceWorkload::new(
@@ -442,23 +384,13 @@ impl<'a> ShardedHarness<'a> {
                         workload_config,
                     )
                 });
+                let pool = service.pool_clients(shard).to_vec();
                 ShardState {
-                    supervisors,
-                    checker: InvariantChecker::new(),
-                    added_stack: Vec::new(),
-                    recoveries: 0,
-                    recovery_delays: Vec::new(),
-                    pending_bursts: 0,
+                    group: Group::new(config.base.initial_replicas, pool.clone()),
                     owned_keys,
-                    pool: service.pool_clients(shard).to_vec(),
-                    clients: service.pool_clients(shard).to_vec(),
-                    outstanding_since: BTreeMap::new(),
-                    cursor: 0,
+                    pool,
                     routing_pending: Vec::new(),
-                    plane_notes: Vec::new(),
                     window_violation: None,
-                    issued: 0,
-                    trace: Vec::new(),
                     workload,
                     tuner: config.autotune.as_ref().map(AutotuneController::new),
                     admission: Admission::Accept,
@@ -468,20 +400,15 @@ impl<'a> ShardedHarness<'a> {
                 }
             })
             .collect();
-        let degraded_models = adversary::degraded_model_table(&alert_model)?;
         Ok(ShardedHarness {
             schedule,
             config,
+            control: Control::new(schedule.seed, &config.base, service.num_shards())?,
             service,
             states,
-            plane,
-            alert_model,
-            degraded_models,
-            rng: StdRng::seed_from_u64(schedule.seed ^ 0x51e7_c0de_0bad_cafe),
             routing: RoutingChecker::new(),
             transactions: Vec::new(),
             next_tx: 1,
-            issued: 0,
             current_step: 0,
         })
     }
@@ -515,211 +442,25 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    /// Records a routed submission in the owning shard's validity oracle
-    /// and the fleet routing oracle (serial phases only).
-    fn record(&mut self, shard: usize, digest: Digest) {
-        self.states[shard].checker.record_submission(digest);
-        self.routing.record_submission(digest, shard);
-        self.issued += 1;
-    }
-
     /// Submits an operation on a freshly created dedicated client of the
     /// owning shard and returns `(shard, client)` (serial phases only).
     fn submit_dedicated(&mut self, operation: Operation) -> (usize, NodeId) {
         let key = operation.key().expect("transaction operations are keyed");
         let shard = self.service.owner(key);
         let client = self.service.add_client(shard);
-        self.states[shard].clients.push(client);
-        let request = self.service.submit_on(shard, client, operation);
-        if std::env::var_os("SIMNET_DEBUG").is_some() {
-            eprintln!(
-                "  submit(tx) shard {shard} client {client} id {} op {:?} digest {}",
-                request.id,
-                request.operation,
-                request.digest().0 % 100_000
-            );
-        }
-        self.record(shard, request.digest());
-        self.states[shard]
-            .outstanding_since
-            .insert(client, self.current_step);
+        let group = &mut self.states[shard].group;
+        group.clients.push(client);
+        let cluster = self.service.shard_mut(shard);
+        let digest = group.submit(cluster, client, operation, self.current_step);
+        self.routing.record_submission(digest, shard);
         (shard, client)
     }
 
-    /// Recovery of one shard's node through the shared actuator; returns
-    /// whether the node actually recovered. Safe in parallel phases — the
-    /// caller is responsible for the control-plane notification (directly
-    /// when serial, via a [`PlaneNote`] otherwise).
-    fn recover_node_local(
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        node: NodeId,
-        step: u32,
-    ) -> bool {
-        let mut actuator = HarnessActuator {
-            cluster,
-            supervisors: &mut state.supervisors,
-            added_stack: &mut state.added_stack,
-            recoveries: &mut state.recoveries,
-            recovery_delays: &mut state.recovery_delays,
-            step,
-        };
-        actuator.recover_node(node)
-    }
-
-    /// Serial-phase recovery: actuate and notify the control plane.
-    fn recover_shard_node(&mut self, shard: usize, node: NodeId, step: u32) {
-        let state = &mut self.states[shard];
-        let cluster = &mut self.service.shards_mut()[shard];
-        if Self::recover_node_local(cluster, state, node, step) {
-            self.plane.controller(shard, node).notify_recovered();
-        }
-    }
-
-    /// Applies one scheduled fault to one shard's sub-executor.
-    /// Control-plane effects are buffered as [`PlaneNote`]s.
-    fn apply_shard_event(
-        config: &ShardedScheduleConfig,
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        event: &FaultEvent,
-        step: u32,
-    ) {
-        // Storms perturb the *ambient* profile of the step (the asynchronous
-        // profile before GST) and RestoreNetwork restores it, mirroring the
-        // single-group executor.
-        let ambient_network = config.base.ambient_network(step);
-        let max_replicas = config.base.max_replicas;
-        match event {
-            FaultEvent::Partition { group_a, group_b } => {
-                cluster.partition_network(group_a, group_b);
-            }
-            FaultEvent::Heal => cluster.heal_network(),
-            FaultEvent::LossStorm { loss_rate } => {
-                let mut network = ambient_network;
-                network.loss_rate = network.loss_rate.max(*loss_rate);
-                cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::DelayStorm { latency, jitter } => {
-                let mut network = ambient_network;
-                network.latency = network.latency.max(*latency);
-                network.jitter = network.jitter.max(*jitter);
-                cluster.set_network_config(network.clamped());
-            }
-            FaultEvent::RestoreNetwork => {
-                cluster.set_network_config(ambient_network);
-            }
-            FaultEvent::CrashReplica { node } => {
-                if cluster.membership().contains(node) {
-                    cluster.crash_replica(*node);
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.schedule_crashed = true;
-                        supervisor.state = NodeState::Crashed;
-                    }
-                }
-            }
-            FaultEvent::RecoverReplica { node } => {
-                if Self::recover_node_local(cluster, state, *node, step) {
-                    state.plane_notes.push(PlaneNote::Recovered(*node));
-                }
-            }
-            FaultEvent::ByzantineFlip { node, mode } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_byzantine(*node, *mode);
-                    // The flip perturbs the IDS observation stream too,
-                    // with a heavily degraded signature.
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::BYZANTINE_FLIP_IDS_LAMBDA;
-                    }
-                }
-            }
-            FaultEvent::IntrusionBurst { node, mode } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_byzantine(*node, *mode);
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = 0.0;
-                    }
-                }
-            }
-            FaultEvent::AdoptAttacker { node, attacker } => {
-                if cluster.membership().contains(node) && !cluster.is_crashed(*node) {
-                    cluster.set_attacker(*node, Some(*attacker));
-                    if let Some(supervisor) = state.supervisors.get_mut(node) {
-                        supervisor.state = NodeState::Compromised;
-                        supervisor.compromised_at.get_or_insert(step);
-                        supervisor.ids_lambda = adversary::attacker_ids_lambda(*attacker);
-                    }
-                }
-            }
-            FaultEvent::AddReplica => {
-                if cluster.num_replicas() < max_replicas {
-                    let id = cluster.add_replica();
-                    state.supervisors.insert(id, Supervisor::new());
-                    state.added_stack.push(id);
-                }
-            }
-            FaultEvent::EvictReplica { node } => {
-                let target = node.or_else(|| state.added_stack.pop());
-                if let Some(target) = target {
-                    if cluster.membership().contains(&target) && cluster.num_replicas() > 3 {
-                        cluster.evict_replica(target);
-                        state.supervisors.remove(&target);
-                        state.checker.forget_replica(target);
-                        state.plane_notes.push(PlaneNote::Forget(target));
-                    }
-                }
-            }
-            FaultEvent::ClientBurst { requests } => {
-                state.pending_bursts += requests;
-            }
-            FaultEvent::InjectDoubleCommit { node } => {
-                cluster.inject_double_commit(*node);
-            }
-        }
-    }
-
-    /// Applies every fault event of this shard due at `step`, advancing
-    /// the shard's schedule cursor.
-    fn apply_due_events(
-        config: &ShardedScheduleConfig,
-        events: &[ScheduledFault],
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) {
-        while let Some(fault) = events.get(state.cursor) {
-            if fault.step > step {
-                break;
-            }
-            state.cursor += 1;
-            Self::apply_shard_event(config, cluster, state, &fault.event, step);
-        }
-    }
-
-    /// Global stabilization of one shard: partitions heal and the
-    /// bounded-delay profile holds from here on.
-    fn restore_gst(config: &ShardedScheduleConfig, cluster: &mut MinBftCluster) {
-        cluster.heal_network();
-        cluster.set_network_config(config.base.network);
-    }
-
-    /// Drains the plane notes buffered by the parallel phases, shard-major
-    /// — the same order the lockstep loop raised them in.
+    /// Applies the control-plane effects the parallel phases buffered,
+    /// shard-major — the same order the lockstep loop raised them in.
     fn drain_plane_notes(&mut self) {
-        for shard in 0..self.states.len() {
-            let notes = std::mem::take(&mut self.states[shard].plane_notes);
-            for note in notes {
-                match note {
-                    PlaneNote::Recovered(node) => {
-                        self.plane.controller(shard, node).notify_recovered();
-                    }
-                    PlaneNote::Forget(node) => self.plane.forget(shard, node),
-                }
-            }
+        for (shard, state) in self.states.iter_mut().enumerate() {
+            self.control.drain_notes(shard, &mut state.group);
         }
     }
 
@@ -734,57 +475,16 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    /// One fleet control tick: per-shard IDS observations (one weighted
-    /// draw per reporting replica, shard-major in membership order) through
-    /// the shared [`FleetControlPlane`].
+    /// One fleet control tick: one global k budget and one system
+    /// controller over every shard.
     fn control_tick(&mut self, step: u32) {
-        let mut observations: Vec<Vec<(NodeId, NodeReport<'_>)>> = Vec::new();
-        for shard in 0..self.service.num_shards() {
-            let membership: Vec<NodeId> = self.service.shard(shard).membership().to_vec();
-            let mut shard_observations = Vec::with_capacity(membership.len());
-            for id in membership {
-                let report = match self.states[shard].supervisors.get(&id) {
-                    None => NodeReport::Silent,
-                    Some(supervisor) if supervisor.schedule_crashed => NodeReport::Silent,
-                    Some(supervisor) => {
-                        let sample_state = match supervisor.state {
-                            NodeState::Compromised => NodeState::Compromised,
-                            _ => NodeState::Healthy,
-                        };
-                        // Per-variant degraded compromise signatures; the
-                        // model choice never changes the RNG draw count.
-                        let model = adversary::degraded_model(
-                            &self.degraded_models,
-                            &self.alert_model,
-                            supervisor.ids_lambda,
-                        );
-                        NodeReport::Sample(model.sample(sample_state, &mut self.rng))
-                    }
-                };
-                shard_observations.push((id, report));
-            }
-            observations.push(shard_observations);
-        }
-        let mut storage: Vec<HarnessActuator<'_>> = self
+        let mut groups: Vec<(&mut MinBftCluster, &mut Group)> = self
             .service
             .shards_mut()
             .iter_mut()
-            .zip(self.states.iter_mut())
-            .map(|(cluster, state)| HarnessActuator {
-                cluster,
-                supervisors: &mut state.supervisors,
-                added_stack: &mut state.added_stack,
-                recoveries: &mut state.recoveries,
-                recovery_delays: &mut state.recovery_delays,
-                step,
-            })
+            .zip(self.states.iter_mut().map(|state| &mut state.group))
             .collect();
-        let mut actuators: Vec<&mut dyn ClusterActuator> = storage
-            .iter_mut()
-            .map(|actuator| actuator as &mut dyn ClusterActuator)
-            .collect();
-        self.plane
-            .tick(&observations, &mut actuators, &mut self.rng);
+        self.control.tick(&mut groups, step);
     }
 
     /// Submits a keyed operation on the first free pool client of this
@@ -793,7 +493,6 @@ impl<'a> ShardedHarness<'a> {
     /// concurrency law caps how many pool clients may hold an outstanding
     /// request at once.
     fn submit_shard_put(
-        shard: usize,
         cluster: &mut MinBftCluster,
         state: &mut ShardState,
         operation: Operation,
@@ -809,19 +508,8 @@ impl<'a> ShardedHarness<'a> {
         else {
             return false;
         };
-        let request = cluster.submit(client, operation);
-        if std::env::var_os("SIMNET_DEBUG").is_some() {
-            eprintln!(
-                "  submit shard {shard} client {client} id {} op {:?} digest {}",
-                request.id,
-                request.operation,
-                request.digest().0 % 100_000
-            );
-        }
-        state.checker.record_submission(request.digest());
-        state.routing_pending.push(request.digest());
-        state.issued += 1;
-        state.outstanding_since.insert(client, step);
+        let digest = state.group.submit(cluster, client, operation, step);
+        state.routing_pending.push(digest);
         true
     }
 
@@ -868,12 +556,7 @@ impl<'a> ShardedHarness<'a> {
     /// [`TraceWorkload`] when configured. The autotune tick (when
     /// configured) runs first, so a window's decision governs the window's
     /// own demand.
-    fn drive_shard_clients(
-        shard: usize,
-        cluster: &mut MinBftCluster,
-        state: &mut ShardState,
-        step: u32,
-    ) {
+    fn drive_shard_clients(cluster: &mut MinBftCluster, state: &mut ShardState, step: u32) {
         Self::autotune_tick(cluster, state, step);
         if let Some(mut workload) = state.workload.take() {
             // Open loop: the offered arrivals (plus any deferred demand and
@@ -881,7 +564,9 @@ impl<'a> ShardedHarness<'a> {
             // the rest queues up to the backlog cap and beyond it is shed.
             // Backpressure intervenes first: `Delay` defers the whole
             // step's demand to the backlog, `Shed` drops it outright.
-            let mut demand = workload.arrivals(step).saturating_add(state.pending_bursts);
+            let mut demand = workload
+                .arrivals(step)
+                .saturating_add(state.group.pending_bursts);
             match state.admission {
                 Admission::Shed => demand = 0,
                 Admission::Delay => {}
@@ -890,7 +575,6 @@ impl<'a> ShardedHarness<'a> {
                         let key = workload.draw_key();
                         let value = 0x2000_0000 + u64::from(step) * 64 + u64::from(demand);
                         if !Self::submit_shard_put(
-                            shard,
                             cluster,
                             state,
                             Operation::Put { key, value },
@@ -902,13 +586,13 @@ impl<'a> ShardedHarness<'a> {
                     }
                 }
             }
-            state.pending_bursts = demand.min(workload.backlog_cap());
+            state.group.pending_bursts = demand.min(workload.backlog_cap());
             state.workload = Some(workload);
             return;
         }
         match state.admission {
             Admission::Shed => {
-                state.pending_bursts = 0;
+                state.group.pending_bursts = 0;
                 return;
             }
             Admission::Delay => return,
@@ -916,7 +600,6 @@ impl<'a> ShardedHarness<'a> {
         }
         let key = state.owned_keys[step as usize % state.owned_keys.len()];
         let submitted = Self::submit_shard_put(
-            shard,
             cluster,
             state,
             Operation::Put {
@@ -925,14 +608,13 @@ impl<'a> ShardedHarness<'a> {
             },
             step,
         );
-        let mut bursts = state.pending_bursts;
+        let mut bursts = state.group.pending_bursts;
         if !submitted {
             return;
         }
         while bursts > 0 {
             let key = state.owned_keys[(step as usize + bursts as usize) % state.owned_keys.len()];
             if !Self::submit_shard_put(
-                shard,
                 cluster,
                 state,
                 Operation::Put {
@@ -945,7 +627,7 @@ impl<'a> ShardedHarness<'a> {
             }
             bursts -= 1;
         }
-        state.pending_bursts = bursts;
+        state.group.pending_bursts = bursts;
     }
 
     /// The keys of transaction `tx`: a fresh, transaction-private range
@@ -1072,20 +754,6 @@ impl<'a> ShardedHarness<'a> {
         }
     }
 
-    fn completed_total(&self) -> u64 {
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(shard, state)| {
-                state
-                    .clients
-                    .iter()
-                    .map(|&c| self.service.shard(shard).completed_requests(c))
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     fn shard_violation(shard: usize, violation: Violation) -> Violation {
         Violation {
             detail: format!("shard {shard}: {}", violation.detail),
@@ -1094,7 +762,8 @@ impl<'a> ShardedHarness<'a> {
     }
 
     /// The pre-barrier oracles of one shard: log agreement/validity,
-    /// network accounting, and the fleet-wide recovery bound.
+    /// network accounting, and the recovery bound, which gains the
+    /// fleet-wide queueing slack of the *global* k budget.
     fn check_shard_pre(
         config: &ShardedScheduleConfig,
         shard: usize,
@@ -1102,36 +771,13 @@ impl<'a> ShardedHarness<'a> {
         state: &mut ShardState,
         step: u32,
     ) -> Option<Violation> {
-        // The recovery bound gains the fleet-wide queueing slack of the
-        // *global* k budget: every shard's compromises compete for the
-        // same slots.
-        let bound = config.base.delta_r + (config.shards * config.base.initial_replicas) as u32 + 1;
-        if let Some(violation) = state.checker.check_logs(cluster, step) {
-            return Some(Self::shard_violation(shard, violation));
-        }
-        if let Some(violation) = state.checker.check_network(cluster, step) {
-            return Some(Self::shard_violation(shard, violation));
-        }
-        for (&id, supervisor) in &state.supervisors {
-            if let Some(at) = supervisor.compromised_at {
-                if step.saturating_sub(at) > bound {
-                    return Some(Violation {
-                        kind: InvariantKind::RecoveryBound,
-                        step,
-                        detail: format!(
-                            "shard {shard}: replica {id} compromised at step {at} still \
-                             unrecovered at step {step} (bound {bound})"
-                        ),
-                    });
-                }
-            }
-        }
-        None
+        let violation = state
+            .group
+            .check_safety(cluster, &config.base, config.shards, step)?;
+        Some(Self::shard_violation(shard, violation))
     }
 
-    /// The liveness-after-GST oracle of one shard: every request submitted
-    /// before stabilization must complete within the bounded window.
-    /// Prunes completed requests from the shard's bookkeeping either way.
+    /// The liveness-after-GST oracle of one shard.
     fn check_shard_gst(
         config: &ShardedScheduleConfig,
         shard: usize,
@@ -1139,29 +785,10 @@ impl<'a> ShardedHarness<'a> {
         state: &mut ShardState,
         step: u32,
     ) -> Option<Violation> {
-        state
-            .outstanding_since
-            .retain(|&client, _| cluster.has_outstanding_request(client));
-        if let Some(gst) = config.base.gst {
-            if step >= gst && step - gst > config.base.post_gst_liveness_steps {
-                for (&client, &since) in &state.outstanding_since {
-                    if since < gst {
-                        return Some(Violation {
-                            kind: InvariantKind::LivenessAfterGst,
-                            step,
-                            detail: format!(
-                                "shard {shard}: client {client}'s request from step {since} \
-                                 (before GST at step {gst}) still uncommitted {} steps after \
-                                 stabilization (bound {})",
-                                step - gst,
-                                config.base.post_gst_liveness_steps
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        None
+        let violation = state
+            .group
+            .check_liveness_after_gst(cluster, &config.base, step)?;
+        Some(Self::shard_violation(shard, violation))
     }
 
     /// The full oracle pass in lockstep order — shard-major, pre-barrier
@@ -1188,31 +815,6 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// One shard's trace record at `step`.
-    fn shard_trace_record(cluster: &MinBftCluster, state: &ShardState, step: u32) -> TraceRecord {
-        let faulty: Vec<NodeId> = state
-            .supervisors
-            .iter()
-            .filter(|(_, s)| s.schedule_crashed || s.state != NodeState::Healthy)
-            .map(|(&id, _)| id)
-            .collect();
-        let completed: u64 = state
-            .clients
-            .iter()
-            .map(|&c| cluster.completed_requests(c))
-            .sum();
-        TraceRecord {
-            step,
-            time_bits: cluster.now().to_bits(),
-            membership: cluster.membership().to_vec(),
-            commits: cluster.commit_trace().len() as u64,
-            view_changes: cluster.view_changes(),
-            completed,
-            net_sent: cluster.network_stats().sent,
-            faulty,
-        }
-    }
-
     /// Free-runs one shard's sub-executor through `window` (`start..end`).
     /// The barrier step `start` has already had its events and client
     /// driving applied in the barrier phases; later steps apply their own.
@@ -1233,10 +835,12 @@ impl<'a> ShardedHarness<'a> {
         for step in window {
             if step != start {
                 if config.base.gst == Some(step) {
-                    Self::restore_gst(config, cluster);
+                    group::stabilize(cluster, &config.base);
                 }
-                Self::apply_due_events(config, events, cluster, state, step);
-                Self::drive_shard_clients(shard, cluster, state, step);
+                state
+                    .group
+                    .apply_due_events(cluster, &config.base, events, step);
+                Self::drive_shard_clients(cluster, state, step);
             }
             cluster.run_until(f64::from(step + 1) * config.base.step_duration);
             if local_checks {
@@ -1249,9 +853,7 @@ impl<'a> ShardedHarness<'a> {
                     state.window_violation = Some((step, 1, violation));
                 }
             }
-            state
-                .trace
-                .push(Self::shard_trace_record(cluster, state, step));
+            state.group.push_trace(cluster, step);
             if state.window_violation.is_some() {
                 break;
             }
@@ -1289,32 +891,12 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// Per-shard state-transfer nudge: replicas that fell behind or flag
-    /// `needs_state` are re-driven through recovery.
-    fn catch_up_shard(cluster: &mut MinBftCluster) {
-        let members: Vec<NodeId> = cluster.membership().to_vec();
-        let longest = members
-            .iter()
-            .filter_map(|&id| cluster.executed_len(id))
-            .max()
-            .unwrap_or(0);
-        for id in members {
-            let lagging = cluster
-                .executed_len(id)
-                .map(|len| len + 2 < longest)
-                .unwrap_or(false);
-            if cluster.needs_state(id) || lagging {
-                cluster.recover_replica(id);
-            }
-        }
-    }
-
     fn any_outstanding(&self) -> bool {
         self.states.iter().enumerate().any(|(shard, state)| {
-            state
-                .clients
-                .iter()
-                .any(|&c| self.service.shard(shard).has_outstanding_request(c))
+            !state
+                .group
+                .outstanding_clients(self.service.shard(shard))
+                .is_empty()
         })
     }
 
@@ -1324,37 +906,10 @@ impl<'a> ShardedHarness<'a> {
             .fold(0.0, f64::max)
     }
 
-    /// The settle phase: heal every shard, recover every still-marked
-    /// replica, drain outstanding requests, **roll forward** interrupted
-    /// MultiPut commit rounds, probe each shard, and run the atomicity
-    /// check over every transaction. The drain rounds run per-shard on the
-    /// worker pool (each to a barrier-computed common deadline); every
-    /// oracle decision stays serial.
-    fn settle(&mut self, workers: usize) -> Option<Violation> {
-        Self::for_each_shard(&mut self.service, &mut self.states, workers, {
-            let config = self.config;
-            move |_, cluster, _| {
-                cluster.heal_network();
-                cluster.set_network_config(config.base.network);
-            }
-        });
-        for shard in 0..self.service.num_shards() {
-            let members: Vec<NodeId> = self.service.shard(shard).membership().to_vec();
-            for id in members {
-                let marked = self.states[shard]
-                    .supervisors
-                    .get(&id)
-                    .map(|s| s.schedule_crashed || s.state != NodeState::Healthy)
-                    .unwrap_or(false);
-                let cluster = self.service.shard(shard);
-                if marked
-                    || cluster.byzantine_mode(id) != Some(ByzantineMode::Correct)
-                    || cluster.is_crashed(id)
-                {
-                    self.recover_shard_node(shard, id, self.config.base.horizon);
-                }
-            }
-        }
+    /// Runs the settle window on every shard (each to a common deadline
+    /// computed at the barrier) until no client waits — at least
+    /// `min_rounds` rounds, at most ten — nudging stragglers after each.
+    fn drain(&mut self, workers: usize, min_rounds: u32) {
         let settle_window = 5.0_f64.max(self.config.base.step_duration * 4.0);
         for round in 0..10 {
             let target = self.fleet_now() + settle_window;
@@ -1364,13 +919,31 @@ impl<'a> ShardedHarness<'a> {
                 workers,
                 move |_, cluster, _| {
                     cluster.run_until(target);
-                    Self::catch_up_shard(cluster);
+                    group::catch_up_stragglers(cluster);
                 },
             );
-            if !self.any_outstanding() && round > 0 {
+            if round + 1 >= min_rounds && !self.any_outstanding() {
                 break;
             }
         }
+    }
+
+    /// The settle phase: heal every shard, recover every still-marked
+    /// replica, drain outstanding requests, **roll forward** interrupted
+    /// MultiPut commit rounds, probe each shard, and run the atomicity
+    /// check over every transaction. The drain rounds run per-shard on the
+    /// worker pool; every oracle decision stays serial.
+    fn settle(&mut self, workers: usize) -> Option<Violation> {
+        let horizon = self.config.base.horizon;
+        Self::for_each_shard(&mut self.service, &mut self.states, workers, {
+            let config = self.config;
+            move |_, cluster, _| group::stabilize(cluster, &config.base)
+        });
+        for (cluster, state) in self.service.shards_mut().iter_mut().zip(&mut self.states) {
+            state.group.recover_marked(cluster, horizon);
+        }
+        self.drain_plane_notes();
+        self.drain(workers, 2);
         if self.any_outstanding() {
             return Some(Violation {
                 kind: InvariantKind::Liveness,
@@ -1395,33 +968,12 @@ impl<'a> ShardedHarness<'a> {
         // Probe every shard: a fresh routed request must complete.
         for shard in 0..self.service.num_shards() {
             let key = self.states[shard].owned_keys[0];
-            let client = self.service.add_client(shard);
-            self.states[shard].clients.push(client);
-            let request = self.service.submit_on(
-                shard,
-                client,
-                Operation::Put {
-                    key,
-                    value: 0xdead_beef,
-                },
-            );
-            self.record(shard, request.digest());
+            self.submit_dedicated(Operation::Put {
+                key,
+                value: 0xdead_beef,
+            });
         }
-        for _ in 0..10 {
-            let target = self.fleet_now() + settle_window;
-            Self::for_each_shard(
-                &mut self.service,
-                &mut self.states,
-                workers,
-                move |_, cluster, _| {
-                    cluster.run_until(target);
-                    Self::catch_up_shard(cluster);
-                },
-            );
-            if !self.any_outstanding() {
-                break;
-            }
-        }
+        self.drain(workers, 1);
         if self.any_outstanding() {
             return Some(Violation {
                 kind: InvariantKind::Liveness,
@@ -1429,12 +981,12 @@ impl<'a> ShardedHarness<'a> {
                 detail: "a settle-phase probe or roll-forward commit never completed".into(),
             });
         }
-        for index in 0..self.transactions.len() {
+        for transaction in &mut self.transactions {
             if matches!(
-                self.transactions[index].phase,
+                transaction.phase,
                 TxPhase::Committing | TxPhase::AbandonedMidCommit
             ) {
-                self.transactions[index].phase = TxPhase::Done;
+                transaction.phase = TxPhase::Done;
             }
         }
         // Atomicity: every transaction is all-or-nothing by now. The keys
@@ -1459,7 +1011,7 @@ impl<'a> ShardedHarness<'a> {
                 }
             }
         }
-        if let Some(violation) = self.check_invariants(self.config.base.horizon) {
+        if let Some(violation) = self.check_invariants(horizon) {
             return Some(violation);
         }
         if !self.service.logs_are_consistent() {
@@ -1472,48 +1024,6 @@ impl<'a> ShardedHarness<'a> {
         None
     }
 
-    /// `SIMNET_DEBUG` diagnostics: per-shard replica state and, on a
-    /// violation, the full commit traces.
-    fn debug_dump(&self, step: u32, violation: Option<&Violation>) {
-        for shard in 0..self.service.num_shards() {
-            let cluster = self.service.shard(shard);
-            for &id in &cluster.membership().to_vec() {
-                eprintln!(
-                    "  step {step} shard {shard} replica {id}: len {} start {:?} crashed {} \
-                     needs_state {}",
-                    cluster.executed_len(id).unwrap_or(0),
-                    cluster.executed_log_start(id),
-                    cluster.is_crashed(id),
-                    cluster.needs_state(id),
-                );
-            }
-            if violation.is_some() {
-                for &id in &cluster.membership().to_vec() {
-                    eprintln!("    {}", cluster.debug_replica(id));
-                    if let (Some(log), Some(start)) =
-                        (cluster.executed_log(id), cluster.executed_log_start(id))
-                    {
-                        let tail: Vec<(u64, u64)> = log
-                            .iter()
-                            .enumerate()
-                            .map(|(i, d)| (start + i as u64, d.0 % 100_000))
-                            .collect();
-                        eprintln!("    shard {shard} replica {id} log: {tail:?}");
-                    }
-                }
-                for r in cluster.commit_trace() {
-                    eprintln!(
-                        "  shard {shard} commit: replica {} view {} seq {} digest {}",
-                        r.replica,
-                        r.view,
-                        r.sequence,
-                        r.digest.0 % 100_000
-                    );
-                }
-            }
-        }
-    }
-
     /// Executes the schedule on `workers` concurrent shard sub-executors.
     /// The result is a pure function of `(seed, config)` — never of
     /// `workers` (see the module docs for the barrier/phase structure).
@@ -1522,10 +1032,8 @@ impl<'a> ShardedHarness<'a> {
         let horizon = self.config.base.horizon;
         // A GST schedule starts every shard in the asynchronous phase.
         let initial_network = self.config.base.ambient_network(0);
-        for shard in 0..self.service.num_shards() {
-            self.service
-                .shard_mut(shard)
-                .set_network_config(initial_network);
+        for cluster in self.service.shards_mut() {
+            cluster.set_network_config(initial_network);
         }
         let mut violation: Option<Violation> = None;
         let mut steps_run: u64 = 0;
@@ -1544,13 +1052,12 @@ impl<'a> ShardedHarness<'a> {
                     workers,
                     move |shard, cluster, state| {
                         if config.base.gst == Some(step) {
-                            Self::restore_gst(config, cluster);
+                            group::stabilize(cluster, &config.base);
                         }
-                        Self::apply_due_events(
-                            config,
-                            &schedule.shards[shard].events,
+                        state.group.apply_due_events(
                             cluster,
-                            state,
+                            &config.base,
+                            &schedule.shards[shard].events,
                             step,
                         );
                     },
@@ -1564,9 +1071,7 @@ impl<'a> ShardedHarness<'a> {
                 &mut self.service,
                 &mut self.states,
                 workers,
-                move |shard, cluster, state| {
-                    Self::drive_shard_clients(shard, cluster, state, step);
-                },
+                move |_, cluster, state| Self::drive_shard_clients(cluster, state, step),
             );
             // Phase D — serial: routing-record merge + MultiPut rounds.
             self.merge_routing_records();
@@ -1598,11 +1103,7 @@ impl<'a> ShardedHarness<'a> {
             let resolved = if local_checks {
                 self.resolve_window(window_end)
             } else {
-                let found = self.check_invariants(step);
-                if std::env::var_os("SIMNET_DEBUG").is_some() {
-                    self.debug_dump(step, found.as_ref());
-                }
-                found.map(|v| (step, v))
+                self.check_invariants(step).map(|v| (step, v))
             };
             match resolved {
                 Some((violating_step, found)) => {
@@ -1620,57 +1121,30 @@ impl<'a> ShardedHarness<'a> {
             self.current_step = horizon;
             self.drain_plane_notes();
             violation = self.settle(workers);
-            for shard in 0..self.service.num_shards() {
-                let record = Self::shard_trace_record(
-                    self.service.shard(shard),
-                    &self.states[shard],
-                    horizon,
-                );
-                self.states[shard].trace.push(record);
+            for (cluster, state) in self.service.shards_mut().iter().zip(&mut self.states) {
+                state.group.push_trace(cluster, horizon);
             }
         }
-        let completed = self.completed_total();
-        let issued = self.issued + self.states.iter().map(|s| s.issued).sum::<u64>();
-        let recoveries: u64 = self.states.iter().map(|s| s.recoveries).sum();
-        let delays: Vec<u32> = self
-            .states
-            .iter()
-            .flat_map(|s| s.recovery_delays.iter().copied())
-            .collect();
-        let mean_recovery_steps = if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().map(|&d| f64::from(d)).sum::<f64>() / delays.len() as f64
-        };
-        let committed_sequences: u64 = (0..self.service.num_shards())
-            .map(|shard| InvariantChecker::committed_sequences(self.service.shard(shard)))
-            .sum();
+        let outcome = group::outcome(
+            steps_run,
+            self.service
+                .shards_mut()
+                .iter()
+                .zip(self.states.iter().map(|state| &state.group)),
+        );
         let launched = self.transactions.len() as u64;
         let committed_txs = self
             .transactions
             .iter()
             .filter(|t| t.phase == TxPhase::Done)
             .count() as u64;
-        let mut trace = Vec::with_capacity(self.states.len());
-        let mut autotune = Vec::with_capacity(self.states.len());
-        for state in self.states {
-            trace.push(state.trace);
-            autotune.push(state.decisions);
-        }
+        let (trace, autotune) = self
+            .states
+            .into_iter()
+            .map(|state| (state.group.trace, state.decisions))
+            .unzip();
         Ok(ShardedRunReport {
-            outcome: SimnetOutcome {
-                steps: steps_run,
-                issued,
-                completed,
-                recoveries,
-                mean_recovery_steps,
-                committed_sequences,
-                availability: if issued == 0 {
-                    1.0
-                } else {
-                    completed as f64 / issued as f64
-                },
-            },
+            outcome,
             trace,
             multi_puts: (launched, committed_txs),
             autotune,
@@ -1691,29 +1165,20 @@ pub fn shrink_sharded_schedule(
     config: &ShardedScheduleConfig,
     violation: &Violation,
 ) -> Result<(ShardedFaultSchedule, Violation)> {
-    let mut current = schedule.clone();
-    let mut current_violation = violation.clone();
-    let mut improved = true;
-    while improved {
-        improved = false;
-        for shard in 0..current.shards.len() {
-            let mut index = 0;
-            while index < current.shards[shard].events.len() {
-                let mut candidate = current.clone();
-                candidate.shards[shard].events.remove(index);
-                let report = run_sharded_schedule(&candidate, config)?;
-                match report.violation {
-                    Some(v) if v.kind == current_violation.kind => {
-                        current = candidate;
-                        current_violation = v;
-                        improved = true;
-                    }
-                    _ => index += 1,
-                }
-            }
-        }
-    }
-    Ok((current, current_violation))
+    let (shards, violation) = shrink_events(&schedule.shards, violation, |shards| {
+        let candidate = ShardedFaultSchedule {
+            seed: schedule.seed,
+            shards: shards.to_vec(),
+        };
+        Ok(run_sharded_schedule(&candidate, config)?.violation)
+    })?;
+    Ok((
+        ShardedFaultSchedule {
+            seed: schedule.seed,
+            shards,
+        },
+        violation,
+    ))
 }
 
 /// A minimal, replayable description of a fleet-level invariant violation.

@@ -73,24 +73,42 @@ pub fn shrink_schedule(
     config: &ScheduleConfig,
     violation: &Violation,
 ) -> Result<(FaultSchedule, Violation)> {
-    let mut current = schedule.clone();
+    let (mut shrunk, violation) =
+        shrink_events(std::slice::from_ref(schedule), violation, |schedules| {
+            Ok(run_schedule(&schedules[0], config)?.violation)
+        })?;
+    Ok((shrunk.remove(0), violation))
+}
+
+/// The greedy drop-one-event search of both simulators over per-group
+/// schedules (one for a single group, one per shard for a fleet):
+/// repeatedly try removing a single event from any group's schedule and
+/// keep the removal whenever `run` still reports the same invariant kind.
+pub(crate) fn shrink_events(
+    schedules: &[FaultSchedule],
+    violation: &Violation,
+    run: impl Fn(&[FaultSchedule]) -> Result<Option<Violation>>,
+) -> Result<(Vec<FaultSchedule>, Violation)> {
+    let mut current = schedules.to_vec();
     let mut current_violation = violation.clone();
     let mut improved = true;
     while improved {
         improved = false;
-        let mut index = 0;
-        while index < current.events.len() {
-            let mut candidate = current.clone();
-            candidate.events.remove(index);
-            let report = run_schedule(&candidate, config)?;
-            match report.violation {
-                Some(v) if v.kind == current_violation.kind => {
-                    current = candidate;
-                    current_violation = v;
-                    improved = true;
-                    // Do not advance: the next event shifted into `index`.
+        for group in 0..current.len() {
+            let mut index = 0;
+            while index < current[group].events.len() {
+                let mut candidate = current.clone();
+                candidate[group].events.remove(index);
+                match run(&candidate)? {
+                    Some(v) if v.kind == current_violation.kind => {
+                        current = candidate;
+                        current_violation = v;
+                        improved = true;
+                        // Do not advance: the next event shifted into
+                        // `index`.
+                    }
+                    _ => index += 1,
                 }
-                _ => index += 1,
             }
         }
     }

@@ -294,7 +294,7 @@ fn fleet_controlled_sweep_recovers_across_shards() {
     // The end-to-end fleet-controller check: under intrusion-heavy chaos
     // in both shards, the global budget actuates recoveries somewhere in
     // every run and the oracle suite stays green (the per-tick k=1
-    // priority/deferral behaviour is pinned by the controlplane::fleet
+    // priority/deferral behaviour is pinned by the controlplane::runtime
     // unit tests).
     let config = sweep_configs()
         .into_iter()
